@@ -8,7 +8,10 @@ Each hot loop exists twice:
   vectorized evaluation),
 * scan over all k-subsets in colex order (jitted successor loop vs. chunked
   gathers over a Python colex generator),
-* simulated-annealing sweeps (one loop body, jitted or interpreted).
+* simulated-annealing sweeps (one loop body, jitted or interpreted).  Each
+  restart keeps the local field h = Qz, so a proposed flip costs O(1) and
+  only an accepted one pays an O(n) update of h (Isakov et al., "Optimised
+  simulated annealing for Ising spin glasses", arXiv:1401.1084).
 
 Both backends visit states in the same order, so tie-breaking is identical:
 colex order of subsets coincides with ordering the indicator vectors as
@@ -208,6 +211,8 @@ def constrained_best(A: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, 
 
 
 def _sa_sweeps(Q, z, flips, us, temps):
+    # Invariant h == Q @ z, kept by adding or removing column j on each accepted
+    # flip; a proposal reads its energy change off h[j] and Q[j, j] in O(1).
     n = Q.shape[0]
     e = 0.0
     for i in range(n):
@@ -215,23 +220,27 @@ def _sa_sweeps(Q, z, flips, us, temps):
             for j in range(n):
                 if z[j] != 0:
                     e += Q[i, j]
+    h = np.zeros(n)
+    for i in range(n):
+        if z[i] != 0:
+            h += Q[:, i]
     best_e = e
     best_z = z.copy()
     for t in range(flips.shape[0]):
         j = flips[t]
-        s = 0.0
-        for i in range(n):
-            s += Q[j, i] * z[i]
-        s -= Q[j, j] * z[j]
-        if z[j] == 0:
-            de = Q[j, j] + 2.0 * s
+        qjj = Q[j, j]
+        up = z[j] == 0
+        if up:
+            de = qjj + 2.0 * h[j]
         else:
-            de = -(Q[j, j] + 2.0 * s)
+            de = -(qjj + 2.0 * (h[j] - qjj))
         if de <= 0.0 or us[t] < np.exp(-de / temps[t // n]):
-            if z[j] == 0:
+            if up:
                 z[j] = 1
+                h += Q[:, j]
             else:
                 z[j] = 0
+                h -= Q[:, j]
             e += de
             if e < best_e:
                 best_e = e

@@ -3,7 +3,9 @@ identity, run the k-medoids baseline, and export QUBO matrices.
 
 All subcommands read numeric CSV data and write a single JSON document, so
 runs can be scripted and diffed.  Exit codes: 0 success (or verification
-passed), 1 input error, 2 capacity error, 3 verification failed.
+passed), 1 input error, 2 capacity error, 3 verification failed, 4 numerical
+integrity error (an internal consistency check failed, e.g. annealing energy
+drift beyond its rounding bound or a kernel that is not positive semidefinite).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .density import mmd_squared
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, NumericalIntegrityError
 from .formulations import (
     EquivalenceReport,
     build_kde_qbp,
@@ -55,6 +57,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CAPACITY = 2
 EXIT_VERIFY_FAILED = 3
+EXIT_NUMERIC = 4
 
 DEFAULT_KERNEL = "rbf:2.0"
 
@@ -459,6 +462,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"protoqubo: capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except NumericalIntegrityError as exc:
+        print(f"protoqubo: numerical integrity error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -283,14 +283,55 @@ def solve_constrained_exhaustive(p: QbpInstance) -> SolveReport:
     return SolveReport(best=best, objective=objective, feasible=True, stats=stats)
 
 
+def sa_drift_bound(n: int, proposals: int, row_norm: float) -> float:
+    """Bound on the rounding gap between an annealing run's tracked and re-evaluated energy.
+
+    ``row_norm`` is ``R = max_i sum_j |Q_ij|``, ``proposals`` is ``T`` (the
+    length of the flip stream), ``u = 2**-53`` and ``g(m) = m*u / (1 - m*u)``.
+    Lemma (recursive summation): m floating-point additions whose exact
+    partial sums stay within S, of addends that are themselves off by at most
+    D in total, end within ``g(m)*S + (1 + g(m + 1))*D`` of the exact sum.
+
+    * Each local field h_j is a sum of at most n + T matrix entries (start,
+      then one per accepted flip) whose exact partial sums are subset sums of
+      row j, so it is off by at most ``eh = g(n + T) * R``.
+    * An accepted energy change is ``Q_jj + 2*h_j`` or ``-(Q_jj + 2*(h_j - Q_jj))``,
+      exactly at most 3R in size; its computed value is off by at most
+      ``2*eh`` from the field plus two or three roundings, within
+      ``(2*g(n + T + 2) + g(5)) * R``.
+    * The tracked energy is a sum of at most n*n entries and then T changes;
+      its exact partial sums (sums of selected rows' subset sums, then
+      energies) are at most n*R in size.
+    * The re-evaluation ``z @ Q @ z`` is off by at most ``g(2n) * n * R``, and
+      ``g(2n) <= g(n*n + T)``.
+
+    Hence the bound ``R * (2n*g(m) + (1 + g(m + 1)) * T * (2*g(n + T + 2) + g(5)))``
+    with ``m = n*n + T``.
+    It grows as T**2 * n * u * R, because every accepted change carries the
+    field's accumulated error; it is infinite once m*u reaches 1.
+    """
+    m = n * n + proposals
+    per_flip = 2.0 * _gamma(n + proposals + 2) + _gamma(5)
+    return row_norm * (2.0 * n * _gamma(m) + (1.0 + _gamma(m + 1)) * proposals * per_flip)
+
+
+def _gamma(m: int) -> float:
+    mu = m * 2.0**-53
+    return mu / (1.0 - mu) if mu < 1.0 else math.inf
+
+
 def solve_sa(q: QuboInstance, schedule: SaSchedule | None = None, seed: int = 0) -> SolveReport:
     """Single-bit-flip Metropolis simulated annealing.
 
     Deterministic given (instance, schedule, seed): every restart pre-draws
     its initial state, flip indices and acceptance uniforms from
-    ``default_rng(seed + restart)``.  Returns the best state visited across
-    restarts; its incrementally tracked energy is checked against a full
-    re-evaluation before reporting.
+    ``default_rng(seed + restart)``.  Each restart keeps the local field
+    h = Qz, so a proposal costs O(1) and only an accepted flip pays an O(n)
+    update (Isakov et al., "Optimised simulated annealing for Ising spin
+    glasses", arXiv:1401.1084).  Returns the best state visited across
+    restarts; its incrementally tracked energy must agree with a full
+    re-evaluation to within `sa_drift_bound`, or `NumericalIntegrityError`
+    is raised.
     """
     sched = schedule if schedule is not None else SaSchedule()
     temps = sched.temperatures()
@@ -309,9 +350,11 @@ def solve_sa(q: QuboInstance, schedule: SaSchedule | None = None, seed: int = 0)
             best_z = z
     best = Selection(best_z)
     objective = qubo_energy(q, best)
-    if abs(objective - best_e) > 1e-9:
+    bound = sa_drift_bound(n, sched.sweeps * n, float(np.abs(q.matrix).sum(axis=1).max()))
+    if abs(objective - best_e) > bound:
         raise NumericalIntegrityError(
-            f"incremental energy {best_e!r} drifted from re-evaluated {objective!r}"
+            f"incremental energy {best_e!r} drifted from re-evaluated {objective!r} "
+            f"by more than the rounding bound {bound:.3e}"
         )
     stats = SolveStats(
         evaluations=sched.restarts * sched.sweeps * n,

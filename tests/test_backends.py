@@ -5,6 +5,11 @@ The plain-Python loop bodies in `accel` (`_exhaustive_gray`,
 they are the reference for visiting order and tie-break.  The numpy scans are
 checked against them on every machine; the jitted paths are checked only where
 numba imports, and those tests skip with "numba not importable" elsewhere.
+
+`_sa_sweeps` keeps a local field, so it is itself checked against
+`reference_sa_sweeps` below, the annealing loop that recomputes each row sum
+at O(n) per proposal: bit for bit on integer instances, and on float
+instances to the same best state and to within the derived drift bound.
 """
 
 import numpy as np
@@ -12,6 +17,7 @@ import pytest
 
 from protoqubo import InputError, QbpInstance, QuboInstance, SaSchedule, solve_sa
 from protoqubo import accel
+from protoqubo.qubo import sa_drift_bound
 
 NO_NUMBA = "numba not importable"
 
@@ -31,6 +37,39 @@ def reference_exhaustive(Q):
     """The interpreted Gray-code scan, decoded like `accel.exhaustive_best`."""
     state, energy = accel._exhaustive_gray(Q)
     return ((int(state) >> np.arange(Q.shape[0])) & 1).astype(np.int8), energy
+
+
+def reference_sa_sweeps(Q, z, flips, us, temps):
+    """Annealing that recomputes the row sum of every proposed flip, O(n) each."""
+    n = Q.shape[0]
+    e = 0.0
+    for i in range(n):
+        if z[i] != 0:
+            for j in range(n):
+                if z[j] != 0:
+                    e += Q[i, j]
+    best_e = e
+    best_z = z.copy()
+    for t in range(flips.shape[0]):
+        j = flips[t]
+        s = 0.0
+        for i in range(n):
+            s += Q[j, i] * z[i]
+        s -= Q[j, j] * z[j]
+        if z[j] == 0:
+            de = Q[j, j] + 2.0 * s
+        else:
+            de = -(Q[j, j] + 2.0 * s)
+        if de <= 0.0 or us[t] < np.exp(-de / temps[t // n]):
+            if z[j] == 0:
+                z[j] = 1
+            else:
+                z[j] = 0
+            e += de
+            if e < best_e:
+                best_e = e
+                best_z[:] = z
+    return best_z, best_e
 
 
 @pytest.fixture(
@@ -85,8 +124,10 @@ def test_constrained_backends_agree(monkeypatch):
     for trial in range(25):
         n = int(rng.integers(1, 12))
         k = int(rng.integers(1, n + 1))
-        A = random_symmetric(rng, n, integers=trial % 2 == 0)
-        b = rng.normal(size=n)
+        integers = trial % 2 == 0
+        A = random_symmetric(rng, n, integers=integers)
+        # integer data makes subsets tie, which exercises the tie-break
+        b = rng.integers(-4, 5, n).astype(float) if integers else rng.normal(size=n)
         c0, e0 = accel._constrained_colex(A, b, k)
         for name in FAST_BACKENDS:
             monkeypatch.setenv(accel.ENV_VAR, name)
@@ -111,6 +152,29 @@ def test_sa_backends_agree_on_integer_instances(monkeypatch):
         r2 = solve_sa(q, sched, seed=seed)
         np.testing.assert_array_equal(r1.best.indicator, r2.best.indicator)
         assert r1.objective == r2.objective
+
+
+def test_sa_local_field_matches_reference_loop(monkeypatch):
+    monkeypatch.setenv(accel.ENV_VAR, "numpy")
+    rng = np.random.default_rng(73)
+    for trial in range(40):
+        integers = trial % 2 == 0
+        n = int(rng.integers(2, 25))
+        sweeps = int(rng.integers(5, 60))
+        Q = random_symmetric(rng, n, integers=integers)
+        z0 = rng.integers(0, 2, n).astype(np.int8)
+        flips = rng.integers(0, n, sweeps * n)
+        us = rng.random(sweeps * n)
+        temps = np.geomspace(float(rng.uniform(1.0, 10.0)), 1e-3, sweeps)
+        z, e = accel.sa_run(Q, z0, flips, us, temps)
+        z_ref, e_ref = reference_sa_sweeps(Q, z0.copy(), flips, us, temps)
+        np.testing.assert_array_equal(z, z_ref)
+        if integers:
+            assert e == e_ref
+        else:
+            # each tracked energy is within the bound of the exact energy of z
+            bound = sa_drift_bound(n, flips.shape[0], np.abs(Q).sum(axis=1).max())
+            assert abs(e - e_ref) <= 2.0 * bound
 
 
 def test_solvers_work_on_each_backend(backend):

@@ -234,6 +234,36 @@ class TestMainEntry:
         capsys.readouterr()
         assert code == 2
 
+    def test_sa_at_large_energies_exits_zero(self, tmp_path, capsys):
+        # energies near -5e5: the tracked energy ends about 2e-6 from the
+        # re-evaluation, which is rounding, inside the derived bound of about 1e-2
+        rng = np.random.default_rng(0)
+        pts = rng.normal(size=(200, 2)) + rng.integers(0, 4, 200)[:, None] * 2.0
+        f = tmp_path / "n200.csv"
+        f.write_text("\n".join(f"{float(a)!r},{float(b)!r}" for a, b in pts) + "\n")
+        code = main(["select", "--input", str(f), "--k", "10", "--solver", "sa",
+                     "--sweeps", "30", "--restarts", "2"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["objective"] < -1e5
+
+    def test_numerical_integrity_error_exit_code(self, blob_file, monkeypatch, capsys):
+        from protoqubo import accel
+
+        original = accel.sa_run
+
+        def off_by_one_entry(Q, *args):
+            z, e = original(Q, *args)
+            return z, e + np.abs(Q).max()
+
+        monkeypatch.setattr(accel, "sa_run", off_by_one_entry)
+        code = main(["select", "--input", blob_file, "--k", "2", "--solver", "sa",
+                     "--sweeps", "50", "--restarts", "1"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("protoqubo: numerical integrity error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["select", "--nope"])

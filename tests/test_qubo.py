@@ -6,6 +6,7 @@ import pytest
 from protoqubo import (
     CapacityError,
     InputError,
+    NumericalIntegrityError,
     QbpInstance,
     QuboInstance,
     SaSchedule,
@@ -19,6 +20,7 @@ from protoqubo import (
     solve_sa,
     sufficient_penalty,
 )
+from protoqubo import accel
 
 
 def brute_force_qubo(Q):
@@ -254,6 +256,18 @@ class TestSimulatedAnnealing:
             assert got >= opt - 1e-9
             hits += got == pytest.approx(opt, abs=1e-9)
         assert hits >= 18
+
+    def test_energy_off_by_one_entry_raises(self, monkeypatch):
+        original = accel.sa_run
+
+        def off_by_one_entry(Q, *args):
+            z, e = original(Q, *args)
+            return z, e + np.abs(Q).max()
+
+        monkeypatch.setattr(accel, "sa_run", off_by_one_entry)
+        q = QuboInstance(random_symmetric(np.random.default_rng(30), 12))
+        with pytest.raises(NumericalIntegrityError, match="rounding bound"):
+            solve_sa(q, SaSchedule(sweeps=200, restarts=2), seed=0)
 
     def test_invalid_schedule(self):
         with pytest.raises(InputError):
