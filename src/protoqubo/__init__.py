@@ -13,13 +13,8 @@ from .density import MmdReport, kde_density, kde_density_subset, mmd_squared
 from .errors import CapacityError, InputError, NumericalIntegrityError, PreconditionError
 from .formulations import (
     EquivalenceReport,
-    KdeParams,
-    MedParams,
     build_kde_qbp,
-    build_kde_qubo,
     build_med_qbp,
-    build_med_qubo,
-    complement_distance,
     kde_equivalent_med_params,
     verify_equivalence,
 )
@@ -68,11 +63,9 @@ __all__ = [
     "DistanceMatrix",
     "EquivalenceReport",
     "InputError",
-    "KdeParams",
     "KernelMatrix",
     "KernelSpec",
     "LaplacianKernel",
-    "MedParams",
     "MmdReport",
     "NumericalIntegrityError",
     "PrecomputedKernel",
@@ -85,10 +78,7 @@ __all__ = [
     "SolveReport",
     "SolveStats",
     "build_kde_qbp",
-    "build_kde_qubo",
     "build_med_qbp",
-    "build_med_qubo",
-    "complement_distance",
     "euclidean_distance_matrix",
     "eval_kernel",
     "export_qubo",

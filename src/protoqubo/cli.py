@@ -15,7 +15,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,15 +23,10 @@ import numpy as np
 from . import __version__
 from .density import mmd_squared
 from .errors import CapacityError, InputError, NumericalIntegrityError
-from .formulations import (
-    EquivalenceReport,
-    build_kde_qbp,
-    build_med_qbp,
-    complement_distance,
-    verify_equivalence,
-)
+from .formulations import EquivalenceReport, build_kde_qbp, build_med_qbp, verify_equivalence
 from .kernels import (
     Dataset,
+    KernelMatrix,
     KernelSpec,
     LaplacianKernel,
     PrecomputedKernel,
@@ -64,7 +59,7 @@ DEFAULT_KERNEL = "rbf:2.0"
 
 @dataclass
 class RunConfig:
-    """Everything a `select` run needs; echoed verbatim into the output."""
+    """Settings of one CLI run; every subcommand echoes them into its provenance."""
 
     input_path: str
     kernel: str
@@ -75,7 +70,6 @@ class RunConfig:
     solver: str = "constrained"
     sa_schedule: Optional[SaSchedule] = None
     seed: int = 0
-    output_path: Optional[str] = None
     has_header: bool = False
 
 
@@ -86,7 +80,6 @@ class RunResult:
     feasible: bool
     mmd_squared: float
     within_scatter: Optional[float]
-    equivalence: Optional[EquivalenceReport]
     provenance: dict
 
     def to_json(self) -> str:
@@ -96,15 +89,7 @@ class RunResult:
             "feasible": self.feasible,
             "mmd_squared": self.mmd_squared,
             "within_scatter": self.within_scatter,
-            "equivalence": None
-            if self.equivalence is None
-            else {
-                "max_abs_diff": self.equivalence.max_abs_diff,
-                "gamma_used": self.equivalence.gamma_used,
-                "med_lambda": self.equivalence.med_lambda,
-                "kde_lambda": self.equivalence.kde_lambda,
-                "passed": self.equivalence.passed,
-            },
+            "equivalence": None,
             "provenance": self.provenance,
         }
         return json.dumps(doc, indent=2, sort_keys=True)
@@ -163,10 +148,40 @@ def parse_kernel(text: str) -> KernelSpec:
     raise InputError(f"unknown kernel kind {kind!r}")
 
 
-def _build_qbp(config: RunConfig, K, gamma: float) -> QbpInstance:
+def prepare(config: RunConfig) -> tuple[KernelMatrix, QbpInstance, float]:
+    """Check the formulation and gamma, ingest, build the kernel and the constrained program.
+
+    Returns the kernel matrix, the program and the gamma in effect (the
+    configured one, or 2k/n, at which med and kde coincide).
+    """
+    if config.formulation not in ("med", "kde"):
+        raise InputError(f"formulation must be med or kde, got {config.formulation!r}")
+    if config.formulation != "med" and config.gamma is not None:
+        raise InputError("--gamma applies to the med formulation only")
+    data = ingest_csv(config.input_path, config.has_header)
+    K = kernel_matrix(parse_kernel(config.kernel), data)
+    if not (1 <= config.k <= data.n):
+        raise InputError(f"cardinality k={config.k} out of range [1, {data.n}]")
+    gamma = config.gamma if config.gamma is not None else 2.0 * config.k / data.n
     if config.formulation == "med":
-        return build_med_qbp(kernel_to_distance(K), gamma, config.k)
-    return build_kde_qbp(K, config.k)
+        return K, build_med_qbp(kernel_to_distance(K), gamma, config.k), gamma
+    return K, build_kde_qbp(K, config.k), gamma
+
+
+def _provenance(config: RunConfig, config_extra: dict, **top) -> dict:
+    """Provenance of every subcommand: the config echo plus `config_extra`, version, seed, `top`."""
+    return {
+        "config": {
+            "input_path": config.input_path,
+            "has_header": config.has_header,
+            "kernel": config.kernel,
+            "k": config.k,
+            **config_extra,
+        },
+        "version": __version__,
+        "seed": config.seed,
+        **top,
+    }
 
 
 def _selection_scatter(K, sel: Selection) -> Optional[float]:
@@ -179,21 +194,9 @@ def _selection_scatter(K, sel: Selection) -> Optional[float]:
 
 def run(config: RunConfig) -> RunResult:
     """Ingest, build the requested formulation, solve, and assemble the report."""
-    if config.formulation not in ("med", "kde"):
-        raise InputError(f"formulation must be med or kde, got {config.formulation!r}")
     if config.solver not in ("exhaustive", "constrained", "sa"):
         raise InputError(f"unknown solver {config.solver!r}")
-    if config.formulation != "med" and config.gamma is not None:
-        raise InputError("--gamma applies to the med formulation only")
-
-    data = ingest_csv(config.input_path, config.has_header)
-    spec = parse_kernel(config.kernel)
-    K = kernel_matrix(spec, data)
-    if not (1 <= config.k <= data.n):
-        raise InputError(f"cardinality k={config.k} out of range [1, {data.n}]")
-
-    gamma = config.gamma if config.gamma is not None else 2.0 * config.k / data.n
-    qbp = _build_qbp(config, K, gamma)
+    K, qbp, gamma = prepare(config)
 
     lam = config.lam
     schedule = config.sa_schedule if config.sa_schedule is not None else SaSchedule()
@@ -224,12 +227,9 @@ def run(config: RunConfig) -> RunResult:
             "solver returned an empty selection; increase --sweeps/--restarts or the penalty"
         )
     selected = [int(i) for i in sel.indices]
-    provenance = {
-        "config": {
-            "input_path": config.input_path,
-            "has_header": config.has_header,
-            "kernel": config.kernel,
-            "k": config.k,
+    provenance = _provenance(
+        config,
+        {
             "formulation": config.formulation,
             "gamma": gamma if config.formulation == "med" else None,
             "lambda": lam,
@@ -244,21 +244,18 @@ def run(config: RunConfig) -> RunResult:
             else None,
             "seed": config.seed,
         },
-        "version": __version__,
-        "seed": config.seed,
-        "solver_stats": {
+        solver_stats={
             "evaluations": report.stats.evaluations,
             "restarts": report.stats.restarts,
             "wall_time_s": report.stats.wall_time,
         },
-    }
+    )
     return RunResult(
         selected_indices=selected,
         objective=report.objective,
         feasible=(sel.size == config.k),
         mmd_squared=mmd_squared(K, sel).mmd_squared,
         within_scatter=_selection_scatter(K, sel),
-        equivalence=None,
         provenance=provenance,
     )
 
@@ -343,6 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(args, **fields) -> RunConfig:
+    """The run configuration of a parsed command line; `fields` are the subcommand's own."""
+    return RunConfig(input_path=args.input, kernel=args.kernel, k=args.k, seed=args.seed,
+                     has_header=args.header, **fields)
+
+
 def _cmd_select(args) -> int:
     schedule = None
     if args.sweeps is not None or args.restarts is not None:
@@ -350,52 +353,19 @@ def _cmd_select(args) -> int:
             sweeps=args.sweeps if args.sweeps is not None else 2000,
             restarts=args.restarts if args.restarts is not None else SaSchedule().restarts,
         )
-    config = RunConfig(
-        input_path=args.input,
-        kernel=args.kernel,
-        k=args.k,
-        formulation=args.formulation,
-        gamma=args.gamma,
-        lam=args.lam,
-        solver=args.solver,
-        sa_schedule=schedule,
-        seed=args.seed,
-        output_path=args.output,
-        has_header=args.header,
-    )
+    config = _config(args, formulation=args.formulation, gamma=args.gamma, lam=args.lam,
+                     solver=args.solver, sa_schedule=schedule)
     result = run(config)
     _emit(result.to_json(), args.output)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    config = RunConfig(
-        input_path=args.input,
-        kernel=args.kernel,
-        k=args.k,
-        seed=args.seed,
-        has_header=args.header,
-    )
+    config = _config(args)
     report = verify_command(config, args.lam, args.tolerance)
     doc = {
-        "equivalence": {
-            "max_abs_diff": report.max_abs_diff,
-            "gamma_used": report.gamma_used,
-            "med_lambda": report.med_lambda,
-            "kde_lambda": report.kde_lambda,
-            "passed": report.passed,
-        },
-        "provenance": {
-            "config": {
-                "input_path": args.input,
-                "has_header": args.header,
-                "kernel": args.kernel,
-                "k": args.k,
-                "tolerance": args.tolerance,
-            },
-            "version": __version__,
-            "seed": args.seed,
-        },
+        "equivalence": asdict(report),
+        "provenance": _provenance(config, {"tolerance": args.tolerance}),
     }
     _emit(json.dumps(doc, indent=2, sort_keys=True), args.output)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
@@ -413,33 +383,14 @@ def _cmd_baseline(args) -> int:
         "medoids": [int(i) for i in assignment.medoids],
         "labels": [int(i) for i in assignment.labels],
         "scatter": assignment.scatter,
-        "provenance": {
-            "config": {
-                "input_path": args.input,
-                "has_header": args.header,
-                "kernel": args.kernel,
-                "k": args.k,
-            },
-            "version": __version__,
-            "seed": args.seed,
-            "wall_time_s": time.perf_counter() - t0,
-        },
+        "provenance": _provenance(_config(args), {}, wall_time_s=time.perf_counter() - t0),
     }
     _emit(json.dumps(doc, indent=2, sort_keys=True), args.output)
     return EXIT_OK
 
 
 def _cmd_export(args) -> int:
-    data = ingest_csv(args.input, args.header)
-    K = kernel_matrix(parse_kernel(args.kernel), data)
-    if not (1 <= args.k <= data.n):
-        raise InputError(f"cardinality k={args.k} out of range [1, {data.n}]")
-    if args.formulation != "med" and args.gamma is not None:
-        raise InputError("--gamma applies to the med formulation only")
-    gamma = args.gamma if args.gamma is not None else 2.0 * args.k / data.n
-    config = RunConfig(input_path=args.input, kernel=args.kernel, k=args.k,
-                       formulation=args.formulation)
-    qbp = _build_qbp(config, K, gamma)
+    _, qbp, _ = prepare(_config(args, formulation=args.formulation, gamma=args.gamma))
     lam = args.lam if args.lam is not None else sufficient_penalty(qbp)
     _emit(export_qubo(qbp_to_qubo(qbp, lam)), args.output)
     return EXIT_OK

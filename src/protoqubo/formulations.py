@@ -11,10 +11,12 @@ K; after scaling by k^2 it reads
 
     min  z^T K z - (2k/n) * (K 1)^T z   s.t.  1^T z = k
 
-For a normalized kernel and the complement distance ``D = 1 - K``, setting
-``gamma = 2k/n`` makes the two penalized QUBO matrices identical once the MED
-penalty exceeds the KDE penalty by exactly 1, and makes the constrained
-objectives differ by the constant k^2 on every feasible point.
+This module builds only the constrained programs; both are turned into QUBO
+matrices by the one generic penalty fold, `qubo.qbp_to_qubo`.  For a
+normalized kernel and the complement distance ``D = 1 - K``, setting
+``gamma = 2k/n`` makes the two folded matrices identical once the MED penalty
+exceeds the KDE penalty by exactly 1, and makes the constrained objectives
+differ by the constant k^2 on every feasible point.
 """
 
 from __future__ import annotations
@@ -23,40 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from .kernels import DistanceMatrix, KernelMatrix, kernel_to_distance
-from .qubo import QbpInstance, QuboInstance, penalized_diagonal
-
-
-@dataclass(frozen=True)
-class MedParams:
-    """Objective weight, cardinality and penalty of the medoid-style QUBO."""
-
-    gamma: float
-    k: int
-    lam: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
-            raise InputError(f"gamma must be positive, got {self.gamma}")
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise InputError(f"penalty must be positive, got {self.lam}")
-        if self.k < 1:
-            raise InputError(f"cardinality must be >= 1, got {self.k}")
-
-
-@dataclass(frozen=True)
-class KdeParams:
-    """Cardinality and penalty of the density-matching QUBO."""
-
-    k: int
-    lam: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise InputError(f"penalty must be positive, got {self.lam}")
-        if self.k < 1:
-            raise InputError(f"cardinality must be >= 1, got {self.k}")
+from .qubo import QbpInstance, qbp_to_qubo
 
 
 @dataclass(frozen=True)
@@ -70,31 +41,11 @@ class EquivalenceReport:
     passed: bool
 
 
-def _check_k(k: int, n: int) -> None:
-    if not (1 <= k <= n):
-        raise InputError(f"cardinality k={k} out of range [1, {n}]")
-
-
 def build_med_qbp(D: DistanceMatrix, gamma: float, k: int) -> QbpInstance:
     """Constrained medoid-style program: quadratic -D, linear gamma * (row sums of D)."""
     if not (np.isfinite(gamma) and gamma > 0):
         raise InputError(f"gamma must be positive, got {gamma}")
-    _check_k(k, D.n)
     return QbpInstance(-D.entries, gamma * D.entries.sum(axis=1), k)
-
-
-def build_med_qubo(D: DistanceMatrix, params: MedParams) -> QuboInstance:
-    """Penalized medoid-style QUBO matrix.
-
-    ``Q = -D + lam * ones + diag(gamma * D1 - 2 * lam * k)``; entrywise equal
-    to folding the penalty into `build_med_qbp`.
-    """
-    _check_k(params.k, D.n)
-    q = -D.entries + params.lam
-    q[np.diag_indices(D.n)] = penalized_diagonal(
-        -D.entries.diagonal(), params.gamma * D.entries.sum(axis=1), params.lam, params.k
-    )
-    return QuboInstance(q)
 
 
 def build_kde_qbp(K: KernelMatrix, k: int) -> QbpInstance:
@@ -103,42 +54,21 @@ def build_kde_qbp(K: KernelMatrix, k: int) -> QbpInstance:
     On feasible points the objective is k^2 times the squared MMD minus the
     constant (k/n)^2 * (grand sum of K).
     """
-    _check_k(k, K.n)
     return QbpInstance(K.entries, -(2.0 * k / K.n) * K.entries.sum(axis=1), k)
-
-
-def build_kde_qubo(K: KernelMatrix, params: KdeParams) -> QuboInstance:
-    """Penalized density-matching QUBO matrix.
-
-    ``Q = K + lam * ones - 2 * diag((k/n) * K1 + lam * k)``; entrywise equal
-    to folding the penalty into `build_kde_qbp`.
-    """
-    _check_k(params.k, K.n)
-    q = K.entries + params.lam
-    q[np.diag_indices(K.n)] = penalized_diagonal(
-        K.entries.diagonal(),
-        -(2.0 * params.k / K.n) * K.entries.sum(axis=1),
-        params.lam,
-        params.k,
-    )
-    return QuboInstance(q)
-
-
-def complement_distance(K: KernelMatrix) -> DistanceMatrix:
-    """All-ones outer product minus the kernel matrix; requires a normalized kernel."""
-    return kernel_to_distance(K)
 
 
 def kde_equivalent_med_params(k: int, n: int, med_lambda: float) -> tuple[float, float]:
     """Parameters under which the two QUBO matrices coincide.
 
     Returns ``(gamma, kde_lambda) = (2k/n, med_lambda - 1)``: with the
-    complement distance, `build_med_qubo` at (gamma, med_lambda) equals
-    `build_kde_qubo` at kde_lambda entrywise for every normalized kernel.
+    complement distance, folding `build_med_qbp` at gamma with penalty
+    med_lambda gives, entrywise for every normalized kernel, the same QUBO
+    matrix as folding `build_kde_qbp` with penalty kde_lambda.
     The unit shift between the penalties absorbs the all-ones offset between
     -D and K; med_lambda must exceed 1 so the KDE penalty stays positive.
     """
-    _check_k(k, n)
+    if not (1 <= k <= n):
+        raise InputError(f"cardinality k={k} out of range [1, {n}]")
     if not (np.isfinite(med_lambda) and med_lambda > 1):
         raise InputError(f"med_lambda must be > 1, got {med_lambda}")
     return 2.0 * k / n, med_lambda - 1.0
@@ -147,14 +77,17 @@ def kde_equivalent_med_params(k: int, n: int, med_lambda: float) -> tuple[float,
 def verify_equivalence(
     K: KernelMatrix, k: int, med_lambda: float, tolerance: float = 1e-12
 ) -> EquivalenceReport:
-    """Build both QUBO matrices from one kernel and compare them entrywise."""
-    if not K.normalized:
-        raise PreconditionError("equivalence check requires a normalized kernel matrix")
+    """Fold both programs built from one kernel with `qbp_to_qubo` and compare entrywise.
+
+    Raises `PreconditionError` (from `kernel_to_distance`) for a kernel that
+    is not normalized.
+    """
+    D = kernel_to_distance(K)
     if not (np.isfinite(tolerance) and tolerance >= 0):
         raise InputError(f"tolerance must be nonnegative, got {tolerance}")
     gamma, kde_lambda = kde_equivalent_med_params(k, K.n, med_lambda)
-    q_med = build_med_qubo(complement_distance(K), MedParams(gamma=gamma, k=k, lam=med_lambda))
-    q_kde = build_kde_qubo(K, KdeParams(k=k, lam=kde_lambda))
+    q_med = qbp_to_qubo(build_med_qbp(D, gamma, k), med_lambda)
+    q_kde = qbp_to_qubo(build_kde_qbp(K, k), kde_lambda)
     diff = float(np.abs(q_med.matrix - q_kde.matrix).max())
     return EquivalenceReport(
         max_abs_diff=diff,

@@ -23,23 +23,34 @@ from .errors import InputError, PreconditionError
 SYMMETRY_TOL = 1e-12
 DIAGONAL_TOL = 1e-12
 NEGATIVE_CLAMP = -1e-12
+_TILE = 256
 
 
-def _as_matrix(entries, name: str) -> np.ndarray:
-    m = np.asarray(entries, dtype=np.float64)
+def _symmetric_matrix(entries, name: str) -> np.ndarray:
+    """Check that a matrix is square, non-empty, finite and symmetric; return a read-only copy.
+
+    The one validator of every n-by-n matrix type in the package.  Symmetry is
+    checked tile by tile against the mirrored tile, which reads the transpose
+    in cache-sized blocks with tile-sized temporaries; the max skew is the
+    same as that of ``|M - M^T|``.
+    """
+    m = np.array(entries, dtype=np.float64, order="C")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"{name} must be a square 2-D matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise InputError(f"{name} must have at least one row")
     if not np.all(np.isfinite(m)):
         raise InputError(f"{name} contains non-finite entries")
-    return m
-
-
-def _check_symmetric(m: np.ndarray, name: str) -> None:
-    skew = np.abs(m - m.T).max()
+    n = m.shape[0]
+    skew = 0.0
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            upper = m[i:i + _TILE, j:j + _TILE]
+            skew = max(skew, float(np.abs(upper - m[j:j + _TILE, i:i + _TILE].T).max()))
     if skew > SYMMETRY_TOL:
         raise InputError(f"{name} is not symmetric (max |M - M^T| = {skew:.3e})")
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)
@@ -102,11 +113,7 @@ class PrecomputedKernel:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_matrix(self.matrix, "precomputed kernel")
-        _check_symmetric(m, "precomputed kernel")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _symmetric_matrix(self.matrix, "precomputed kernel"))
 
 
 KernelSpec = Union[RbfKernel, LaplacianKernel, PrecomputedKernel]
@@ -120,10 +127,7 @@ class KernelMatrix:
     normalized: bool = field(init=False)
 
     def __post_init__(self):
-        m = _as_matrix(self.entries, "kernel matrix")
-        _check_symmetric(m, "kernel matrix")
-        m = m.copy()
-        m.setflags(write=False)
+        m = _symmetric_matrix(self.entries, "kernel matrix")
         object.__setattr__(self, "entries", m)
         normalized = bool(np.abs(np.diag(m) - 1.0).max() <= DIAGONAL_TOL)
         object.__setattr__(self, "normalized", normalized)
@@ -143,15 +147,14 @@ class DistanceMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _as_matrix(self.entries, "distance matrix")
-        _check_symmetric(m, "distance matrix")
+        m = _symmetric_matrix(self.entries, "distance matrix")
         diag_err = np.abs(np.diag(m)).max()
         if diag_err > DIAGONAL_TOL:
             raise InputError(f"distance matrix diagonal is not zero (max |D_ii| = {diag_err:.3e})")
         low = m.min()
         if low < NEGATIVE_CLAMP:
             raise InputError(f"distance matrix has negative entry {low:.3e}")
-        m = m.copy()
+        m.setflags(write=True)  # the validator's copy is ours to clamp
         np.fill_diagonal(m, 0.0)
         m[m < 0.0] = 0.0
         m.setflags(write=False)

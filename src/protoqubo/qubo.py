@@ -4,7 +4,9 @@ A `QuboInstance` is an unconstrained quadratic form z^T Q z over binary z.
 A `QbpInstance` adds a linear term and an explicit cardinality constraint
 ``1^T z = k``.  Folding the constraint into the objective with a quadratic
 penalty turns a QBP into a QUBO; `sufficient_penalty` gives a weight large
-enough that the penalized minimizer is always feasible.
+enough that the penalized minimizer is always feasible.  Both instance types
+store read-only copies checked by the same validator as the kernel and
+distance matrices (square, finite, symmetric to 1e-12).
 
 Solvers: exhaustive enumeration (ground truth, hard-capped), enumeration of
 the feasible k-subsets, and single-bit-flip Metropolis simulated annealing.
@@ -22,23 +24,10 @@ import numpy as np
 
 from . import accel
 from .errors import CapacityError, InputError, NumericalIntegrityError
+from .kernels import _symmetric_matrix
 
 EXHAUSTIVE_MAX_VARS = 24
 CONSTRAINED_MAX_SUBSETS = 5_000_000
-
-_SYM_TOL = 1e-12
-
-
-def _check_square_symmetric(m, name: str) -> np.ndarray:
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise InputError(f"{name} must be a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InputError(f"{name} contains non-finite entries")
-    skew = np.abs(a - a.T).max()
-    if skew > _SYM_TOL:
-        raise InputError(f"{name} is not symmetric (max |M - M^T| = {skew:.3e})")
-    return a
 
 
 @dataclass(frozen=True)
@@ -48,9 +37,7 @@ class QuboInstance:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _check_square_symmetric(self.matrix, "QUBO matrix").copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _symmetric_matrix(self.matrix, "QUBO matrix"))
 
     @property
     def n(self) -> int:
@@ -66,7 +53,7 @@ class QbpInstance:
     k: int
 
     def __post_init__(self):
-        a = _check_square_symmetric(self.quadratic, "quadratic part").copy()
+        a = _symmetric_matrix(self.quadratic, "quadratic part")
         b = np.asarray(self.linear, dtype=np.float64).reshape(-1).copy()
         if b.shape[0] != a.shape[0]:
             raise InputError(
@@ -77,7 +64,6 @@ class QbpInstance:
             raise InputError("linear part contains non-finite entries")
         if not (1 <= int(self.k) <= a.shape[0]):
             raise InputError(f"cardinality k={self.k} out of range [1, {a.shape[0]}]")
-        a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "quadratic", a)
         object.__setattr__(self, "linear", b)

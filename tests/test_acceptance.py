@@ -72,7 +72,7 @@ def test_criterion_2_constrained_objective_gap():
         n = int(rng.integers(2, 13))
         K = random_normalized_kernel(rng, n, allow_precomputed=True)
         k = int(rng.integers(1, n + 1))
-        med = pq.build_med_qbp(pq.complement_distance(K), 2.0 * k / n, k)
+        med = pq.build_med_qbp(pq.kernel_to_distance(K), 2.0 * k / n, k)
         kde = pq.build_kde_qbp(K, k)
         z = feasible_indicators(n, k)
         e_med = np.einsum("ij,jk,ik->i", z, med.quadratic, z) + z @ med.linear

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,19 +7,15 @@ import pytest
 from protoqubo import (
     Dataset,
     InputError,
-    KdeParams,
     KernelMatrix,
-    MedParams,
     PreconditionError,
     RbfKernel,
     Selection,
     build_kde_qbp,
-    build_kde_qubo,
     build_med_qbp,
-    build_med_qubo,
-    complement_distance,
     kde_equivalent_med_params,
     kernel_matrix,
+    kernel_to_distance,
     qbp_energy,
     qbp_to_qubo,
     solve_constrained_exhaustive,
@@ -49,15 +46,15 @@ class TestMedBuilders:
 
     def test_qubo_hand_values(self):
         d = DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        q = build_med_qubo(d, MedParams(gamma=1.0, k=1, lam=2.0))
+        q = qbp_to_qubo(build_med_qbp(d, gamma=1.0, k=1), 2.0)
         np.testing.assert_array_equal(q.matrix, [[-1.0, 1.0], [1.0, -1.0]])
 
         z = DistanceMatrix(np.zeros((2, 2)))
-        qz = build_med_qubo(z, MedParams(gamma=7.0, k=1, lam=1.0))
+        qz = qbp_to_qubo(build_med_qbp(z, gamma=7.0, k=1), 1.0)
         np.testing.assert_array_equal(qz.matrix, [[-1.0, 1.0], [1.0, -1.0]])
 
         one = DistanceMatrix(np.zeros((1, 1)))
-        q1 = build_med_qubo(one, MedParams(gamma=3.0, k=1, lam=4.0))
+        q1 = qbp_to_qubo(build_med_qbp(one, gamma=3.0, k=1), 4.0)
         np.testing.assert_array_equal(q1.matrix, [[-4.0]])
 
     def test_parameter_validation(self):
@@ -67,7 +64,7 @@ class TestMedBuilders:
         with pytest.raises(InputError):
             build_med_qbp(d, gamma=1.0, k=3)
         with pytest.raises(InputError):
-            MedParams(gamma=1.0, k=1, lam=0.0)
+            qbp_to_qubo(build_med_qbp(d, gamma=1.0, k=1), 0.0)
 
 
 class TestKdeBuilders:
@@ -92,51 +89,64 @@ class TestKdeBuilders:
 
     def test_qubo_hand_values(self):
         K = KernelMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        q = build_kde_qubo(K, KdeParams(k=1, lam=1.0))
+        q = qbp_to_qubo(build_kde_qbp(K, k=1), 1.0)
         np.testing.assert_array_equal(q.matrix, [[-1.5, 1.5], [1.5, -1.5]])
 
-        qi = build_kde_qubo(KernelMatrix(np.eye(2)), KdeParams(k=1, lam=1.0))
+        qi = qbp_to_qubo(build_kde_qbp(KernelMatrix(np.eye(2)), k=1), 1.0)
         np.testing.assert_array_equal(qi.matrix, [[-1.0, 1.0], [1.0, -1.0]])
 
-        q1 = build_kde_qubo(KernelMatrix(np.ones((1, 1))), KdeParams(k=1, lam=1.0))
+        q1 = qbp_to_qubo(build_kde_qbp(KernelMatrix(np.ones((1, 1))), k=1), 1.0)
         np.testing.assert_array_equal(q1.matrix, [[-2.0]])
 
 
-class TestConstructionConsistency:
-    def test_builders_match_generic_penalty_fold_bitwise(self):
+def closed_form_qubo(p, lam):
+    """The paper's penalized matrix ``A + lam*11^T + diag(b - 2*lam*k)``, correctly rounded."""
+    n = p.n
+    q = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            exact = Fraction(p.quadratic[i, j]) + Fraction(lam)
+            if i == j:
+                exact += Fraction(p.linear[i]) - 2 * Fraction(lam) * p.k
+            q[i, j] = float(exact)
+    return q
+
+
+class TestFoldClosedForm:
+    def test_fold_matches_closed_form_in_exact_rationals(self):
+        # Each folded entry is the nearest double of its exact rational value,
+        # for both programs, so independently built equal matrices agree bitwise.
         rng = np.random.default_rng(41)
         for _ in range(25):
             n = int(rng.integers(1, 40))
             K = random_normalized_kernel(rng, n)
-            D = complement_distance(K)
+            D = kernel_to_distance(K)
             k = int(rng.integers(1, n + 1))
             gamma = float(rng.uniform(0.01, 5.0))
             lam = float(rng.uniform(0.01, 120.0))
-            q_med = build_med_qubo(D, MedParams(gamma=gamma, k=k, lam=lam))
-            fold_med = qbp_to_qubo(build_med_qbp(D, gamma, k), lam)
-            np.testing.assert_array_equal(q_med.matrix, fold_med.matrix)
-            q_kde = build_kde_qubo(K, KdeParams(k=k, lam=lam))
-            fold_kde = qbp_to_qubo(build_kde_qbp(K, k), lam)
-            np.testing.assert_array_equal(q_kde.matrix, fold_kde.matrix)
+            for p in (build_med_qbp(D, gamma, k), build_kde_qbp(K, k)):
+                np.testing.assert_array_equal(
+                    qbp_to_qubo(p, lam).matrix, closed_form_qubo(p, lam)
+                )
 
 
 class TestComplementDistance:
     def test_hand_values(self):
         K = KernelMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
         np.testing.assert_array_equal(
-            complement_distance(K).entries, [[0.0, 0.5], [0.5, 0.0]]
+            kernel_to_distance(K).entries, [[0.0, 0.5], [0.5, 0.0]]
         )
         np.testing.assert_array_equal(
-            complement_distance(KernelMatrix(np.eye(3))).entries,
+            kernel_to_distance(KernelMatrix(np.eye(3))).entries,
             np.ones((3, 3)) - np.eye(3),
         )
         np.testing.assert_array_equal(
-            complement_distance(KernelMatrix(np.ones((3, 3)))).entries, np.zeros((3, 3))
+            kernel_to_distance(KernelMatrix(np.ones((3, 3)))).entries, np.zeros((3, 3))
         )
 
     def test_requires_normalized(self):
         with pytest.raises(PreconditionError):
-            complement_distance(KernelMatrix(2.0 * np.eye(2)))
+            kernel_to_distance(KernelMatrix(2.0 * np.eye(2)))
 
 
 class TestEquivalence:
@@ -150,8 +160,8 @@ class TestEquivalence:
 
     def test_two_by_two_hand_case(self):
         K = KernelMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        q_med = build_med_qubo(complement_distance(K), MedParams(gamma=1.0, k=1, lam=2.0))
-        q_kde = build_kde_qubo(K, KdeParams(k=1, lam=1.0))
+        q_med = qbp_to_qubo(build_med_qbp(kernel_to_distance(K), 1.0, 1), 2.0)
+        q_kde = qbp_to_qubo(build_kde_qbp(K, 1), 1.0)
         np.testing.assert_array_equal(q_med.matrix, [[-1.5, 1.5], [1.5, -1.5]])
         np.testing.assert_array_equal(q_med.matrix, q_kde.matrix)
 
@@ -181,7 +191,7 @@ class TestEquivalence:
             n = int(rng.integers(2, 13))
             K = random_normalized_kernel(rng, n)
             k = int(rng.integers(1, n + 1))
-            med = build_med_qbp(complement_distance(K), 2.0 * k / n, k)
+            med = build_med_qbp(kernel_to_distance(K), 2.0 * k / n, k)
             kde = build_kde_qbp(K, k)
             for idx in itertools.combinations(range(n), k):
                 sel = Selection.from_indices(n, idx)
@@ -194,7 +204,7 @@ class TestEquivalence:
             n = int(rng.integers(2, 13))
             K = random_normalized_kernel(rng, n)
             k = int(rng.integers(1, n + 1))
-            med = build_med_qbp(complement_distance(K), 2.0 * k / n, k)
+            med = build_med_qbp(kernel_to_distance(K), 2.0 * k / n, k)
             kde = build_kde_qbp(K, k)
             sel_med = solve_constrained_exhaustive(med).best
             rep_kde = solve_constrained_exhaustive(kde)
@@ -203,7 +213,7 @@ class TestEquivalence:
     def test_centrality_term_scales_linearly_in_gamma(self):
         rng = np.random.default_rng(45)
         K = random_normalized_kernel(rng, 8)
-        D = complement_distance(K)
+        D = kernel_to_distance(K)
         g1, g2 = 0.7, 2.9
         p1 = build_med_qbp(D, g1, 3)
         p2 = build_med_qbp(D, g2, 3)

@@ -11,6 +11,8 @@ from protoqubo import (
     LaplacianKernel,
     PrecomputedKernel,
     PreconditionError,
+    QbpInstance,
+    QuboInstance,
     RbfKernel,
     euclidean_distance_matrix,
     eval_kernel,
@@ -131,6 +133,53 @@ def test_distance_matrix_validation():
         DistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # too negative
     d = DistanceMatrix(np.array([[0.0, -1e-13], [-1e-13, 0.0]]))
     assert d.entries[0, 1] == 0.0  # tiny negative clamped
+
+
+def symmetric_zero_diagonal(n):
+    a = np.random.default_rng(n).random((n, n))
+    m = a + a.T
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+MATRIX_TYPES = {
+    "precomputed kernel": PrecomputedKernel,
+    "kernel matrix": KernelMatrix,
+    "distance matrix": DistanceMatrix,
+    "quadratic part": lambda m: QbpInstance(m, np.zeros(len(m)), 1),
+    "QUBO matrix": QuboInstance,
+}
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 600])
+def test_symmetry_check_across_tile_boundaries(n):
+    # The validator compares 256x256 tiles with their mirrors: perturb one
+    # entry in an off-diagonal tile, in the last row of tiles, and inside the
+    # last (partial) diagonal tile, on either side of the diagonal.
+    base = symmetric_zero_diagonal(n)
+    for i, j in ((1, n - 1), (n - 1, n // 2 - 1), (n - 2, n - 1), (n - 1, n - 2)):
+        for name, make in MATRIX_TYPES.items():
+            m = base.copy()
+            m[i, j] += 1e-9
+            with pytest.raises(InputError, match=rf"{name} is not symmetric .* = 1\.000e-09\)"):
+                make(m)
+            m[i, j] = base[i, j] + 1e-13
+            make(m)
+
+
+def test_distance_matrix_clamps_in_the_last_tile():
+    n = 600
+    m = symmetric_zero_diagonal(n)
+    m[599, 530] = m[530, 599] = -5e-13
+    m[0, 599] = m[599, 0] = -1e-12
+    m[599, 599] = 1e-13
+    d = DistanceMatrix(m).entries
+    assert d[599, 530] == d[530, 599] == d[0, 599] == d[599, 0] == 0.0
+    np.testing.assert_array_equal(np.diag(d), np.zeros(n))
+    keep = m >= 0.0
+    np.fill_diagonal(keep, False)
+    np.testing.assert_array_equal(d[keep], m[keep])
+    assert not d.flags.writeable
 
 
 def test_kernel_symmetry_in_arguments():

@@ -1,0 +1,143 @@
+"""Compare the command-line behaviour of two protoqubo source trees.
+
+Usage: python3 tools/cli_diff.py OLD_SRC NEW_SRC
+
+Each SRC is a directory holding the ``protoqubo`` package (a checkout's
+``src/``).  The script writes seeded CSV inputs to a temporary directory and
+runs a fixed list of CLI invocations against each tree, in one child
+interpreter per tree that imports the package from that tree and calls
+``protoqubo.cli.main(argv)`` in-process.  It prints every difference in exit
+code, in stdout with the ``"wall_time_s"`` lines removed, and in stderr, and
+exits 1 if there is any, 0 if there is none.  The comparison is the
+determinism contract of the CLI: given the same arguments, every output is
+byte-identical up to wall-clock times.
+"""
+
+from __future__ import annotations
+
+import difflib
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+WALL_TIME = re.compile(r'^\s*"wall_time_s": [^,\n]+,?\n', flags=re.M)
+
+# Runs in the child: argv lists on stdin, one result per case on stdout.
+CHILD = r"""
+import contextlib, io, json, sys, traceback
+import protoqubo.cli as cli
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc(limit=0)
+            code = "uncaught exception"
+    results.append({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()})
+json.dump(results, sys.__stdout__)
+"""
+
+
+def _write_csv(path: Path, points: np.ndarray) -> str:
+    path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in points))
+    return str(path)
+
+
+def _clustered(rng, n: int, d: int) -> np.ndarray:
+    centres = rng.normal(scale=3.0, size=(4, d))
+    return centres[rng.integers(0, 4, size=n)] + rng.normal(size=(n, d))
+
+
+def cases(work: Path) -> list:
+    """The fixed invocation list, with its seeded inputs written under `work`."""
+    rng = np.random.default_rng(20260)
+    small = _write_csv(work / "n20.csv", _clustered(rng, 20, 2))
+    mid = _write_csv(work / "n30.csv", _clustered(rng, 30, 3))
+    large = _write_csv(work / "n700.csv", _clustered(rng, 700, 4))
+    ragged = work / "ragged.csv"
+    ragged.write_text("1,2\n3\n")
+
+    out = []
+    for kernel in ("rbf:2.0", "laplacian:1.5"):
+        for k, lam in ((3, 2.0), (10, 100.0), (25, 7.5)):
+            out.append(["verify", "--input", large, "--kernel", kernel, "--k", str(k),
+                        "--lambda", str(lam)])
+    for form in ("med", "kde"):
+        for extra in ([], ["--lambda", "3.5"]):
+            out.append(["export-qubo", "--input", mid, "--k", "4", "--formulation", form, *extra])
+        for solver in ("constrained", "exhaustive", "sa"):
+            sa = ["--sweeps", "200", "--restarts", "2", "--seed", "5"] if solver == "sa" else []
+            out.append(["select", "--input", small, "--k", "3", "--formulation", form,
+                        "--solver", solver, *sa])
+    out.append(["select", "--input", small, "--k", "3", "--formulation", "med",
+                "--gamma", "0.7"])
+    out.append(["baseline", "--input", mid, "--k", "3", "--seed", "2"])
+    out.append(["baseline", "--input", mid, "--k", "3", "--seed", "2", "--kernel", "rbf:2.0"])
+    out.append(["select", "--input", str(ragged), "--k", "1"])
+    out.append(["export-qubo", "--input", small, "--k", "21"])
+    return out
+
+
+def _start(src: str, argvs: list) -> subprocess.Popen:
+    child = subprocess.Popen(
+        [sys.executable, "-c", CHILD], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        text=True, env={**os.environ, "PYTHONPATH": str(Path(src).resolve())},
+    )
+    child.stdin.write(json.dumps(argvs))
+    child.stdin.close()
+    return child
+
+
+def _finish(child: subprocess.Popen, src: str) -> list:
+    text = child.stdout.read()
+    if child.wait() != 0:
+        raise SystemExit(f"cli_diff: the child interpreter for {src} exited {child.returncode}")
+    return json.loads(text)
+
+
+def compare(old_src: str, new_src: str) -> tuple[list, int]:
+    """Run every case against both trees; return the differences and the case count."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = cases(Path(tmp))
+        children = [_start(src, argvs) for src in (old_src, new_src)]
+        old, new = (_finish(c, s) for c, s in zip(children, (old_src, new_src)))
+    diffs = []
+    for argv, a, b in zip(argvs, old, new):
+        label = " ".join(Path(v).name if v.startswith(tmp) else v for v in argv)
+        if a["code"] != b["code"]:
+            diffs.append(f"{label}: exit code {a['code']!r} -> {b['code']!r}")
+        for stream in ("stdout", "stderr"):
+            x, y = a[stream], b[stream]
+            if stream == "stdout":
+                x, y = WALL_TIME.sub("", x), WALL_TIME.sub("", y)
+            if x != y:
+                lines = difflib.unified_diff(x.splitlines(), y.splitlines(), "old", "new",
+                                             lineterm="", n=1)
+                diffs.append(f"{label}: {stream} differs\n" + "\n".join(list(lines)[:20]))
+    return diffs, len(argvs)
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python3 tools/cli_diff.py OLD_SRC NEW_SRC", file=sys.stderr)
+        return 2
+    diffs, count = compare(*args)
+    for d in diffs:
+        print(d)
+    print(f"cli_diff: {count} cases, {len(diffs)} differences")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
