@@ -4,10 +4,15 @@ The backend is chosen per call from the ``PROTOQUBO_BACKEND`` environment
 variable: ``auto`` (default: numba when importable), ``numba`` or ``numpy``.
 Each hot loop exists twice:
 
-* exhaustive scan over all 2^n states (Gray-code bit flips vs. chunked
-  vectorized evaluation),
-* scan over all k-subsets in colex order (jitted successor loop vs. chunked
-  gathers over a Python colex generator),
+* exhaustive scan over all 2^n states (Gray-code bit flips vs. split
+  halves: the energies of the low and the high half-states are computed
+  once, and each block of high halves meets every low half in one matrix
+  product for the cross term),
+* scan over all k-subsets in colex order (jitted successor loop vs. prefix
+  energies: a colex table of the bottom j-subsets and their energies, built
+  level by level from the table below, is scored against each choice of the
+  top k - j elements, which an outer colex loop fixes; j is the largest that
+  keeps the table within a fixed row budget),
 * simulated-annealing sweeps (one loop body, jitted or interpreted).  Each
   restart keeps the local field h = Qz, so a proposed flip costs O(1) and
   only an accepted one pays an O(n) update of h (Isakov et al., "Optimised
@@ -15,11 +20,14 @@ Each hot loop exists twice:
 
 Both backends visit states in the same order, so tie-breaking is identical:
 colex order of subsets coincides with ordering the indicator vectors as
-little-endian integers.
+little-endian integers.  The numpy scans keep the first minimum of each
+block and replace the best only on strict improvement, block by block in
+that order.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -34,6 +42,11 @@ except ImportError:  # pragma: no cover - numba is optional (the "fast" extra)
     HAVE_NUMBA = False
 
 ENV_VAR = "PROTOQUBO_BACKEND"
+
+# Working-memory budget of the numpy scans: energies held at once (one block of
+# the 2^n scan, or the k-subset table), and rows per gather.
+SCAN_ENERGIES = 1 << 20
+GATHER_ROWS = 1 << 15
 
 
 def active_backend() -> str:
@@ -87,21 +100,32 @@ def _exhaustive_gray(Q):
     return best_g, best_e
 
 
-def _exhaustive_numpy(Q: np.ndarray) -> tuple[int, float]:
+def _bit_table(m: int) -> np.ndarray:
+    # row t holds the m bits of t, least significant first
+    return ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(np.float64)
+
+
+def _exhaustive_halves(Q: np.ndarray) -> tuple[int, float]:
+    # z = lo + (hi << L): E = e_hi + e_lo + 2 z_hi' Q_hl z_lo, scored as a
+    # (hi rows) x (2^L columns) block whose row-major order is integer order.
     n = Q.shape[0]
-    total = 1 << n
-    chunk = 1 << min(n, 16)
-    bits = np.arange(n, dtype=np.uint32)
+    L = (n + 1) // 2
+    Z_lo, Z_hi = _bit_table(L), _bit_table(n - L)
+    e_lo = np.einsum("ij,ij->i", Z_lo @ Q[:L, :L], Z_lo)
+    e_hi = np.einsum("ij,ij->i", Z_hi @ Q[L:, L:], Z_hi)
+    cross = 2.0 * Z_hi @ Q[L:, :L]
+    Z_loT = np.ascontiguousarray(Z_lo.T)
+    rows = max(1, SCAN_ENERGIES >> L)
     best_t = 0
     best_e = np.inf
-    for start in range(0, total, chunk):
-        states = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        Z = ((states[:, None] >> bits[None, :]) & 1).astype(np.float64)
-        e = np.einsum("ij,ij->i", Z @ Q, Z)
-        i = int(np.argmin(e))  # first minimum: smallest state integer in the chunk
-        if e[i] < best_e:
-            best_e = float(e[i])
-            best_t = start + i
+    for r0 in range(0, 1 << (n - L), rows):
+        e = cross[r0 : r0 + rows] @ Z_loT
+        e += e_hi[r0 : r0 + rows, None]
+        e += e_lo
+        i = int(np.argmin(e))  # first minimum in row-major, i.e. integer, order
+        if e.flat[i] < best_e:
+            best_e = float(e.flat[i])
+            best_t = ((r0 + i // e.shape[1]) << L) | (i % e.shape[1])
     return best_t, best_e
 
 
@@ -116,7 +140,7 @@ def exhaustive_best(Q: np.ndarray) -> tuple[np.ndarray, float]:
     if active_backend() == "numba":
         state, energy = _exhaustive_gray_jit(Q)
     else:
-        state, energy = _exhaustive_numpy(Q)
+        state, energy = _exhaustive_halves(Q)
     z = ((int(state) >> np.arange(n)) & 1).astype(np.int8)
     return z, float(energy)
 
@@ -155,37 +179,68 @@ def _constrained_colex(A, b, k):
     return best_c, best_e
 
 
-def _colex_chunks(n: int, k: int, chunk: int):
-    c = list(range(k))
-    buf = np.empty((chunk, k), dtype=np.int64)
-    m = 0
-    while True:
-        buf[m] = c
-        m += 1
-        if m == chunk:
-            yield buf
-            m = 0
-        i = 0
-        while i < k - 1 and c[i] + 1 == c[i + 1]:
-            i += 1
-        if i == k - 1 and c[k - 1] + 1 >= n:
-            break
-        c[i] += 1
-        for j in range(i):
-            c[j] = j
-    if m:
-        yield buf[:m]
+def _colex_table(A: np.ndarray, b: np.ndarray, j: int, N: int):
+    # All j-subsets of range(N) in colex order, as rows of narrow indices, with
+    # their energies.  The subsets with largest element m are the first C(m, i-1)
+    # rows of the (i-1)-level table with m appended, so each level is built
+    # from the prefix energies of the level below.
+    dtype = np.min_scalar_type(max(N - 1, 0))
+    n1 = N - j + 1  # level i holds the i-subsets of range(n1 + i - 1)
+    T = np.arange(n1, dtype=dtype)[:, None]
+    E = np.diag(A)[:n1] + b[:n1]
+    for i in range(2, j + 1):
+        rows = math.comb(n1 + i - 1, i)
+        T_next = np.empty((rows, i), dtype=dtype)
+        E_next = np.empty(rows)
+        r = 0
+        for m in range(i - 1, n1 + i - 1):
+            c = math.comb(m, i - 1)
+            T_next[r : r + c, :-1] = T[:c]
+            T_next[r : r + c, -1] = m
+            E_next[r : r + c] = E[:c] + (A[m, m] + b[m])
+            _add_row_sums(E_next[r : r + c], 2.0 * A[m], T[:c])
+            r += c
+        T, E = T_next, E_next
+    return T, E
 
 
-def _constrained_numpy(A: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, float]:
-    best_c = None
-    best_e = np.inf
-    for combos in _colex_chunks(b.shape[0], k, 4096):
-        e = A[combos[:, :, None], combos[:, None, :]].sum(axis=(1, 2)) + b[combos].sum(axis=1)
-        i = int(np.argmin(e))
-        if e[i] < best_e:
-            best_e = float(e[i])
-            best_c = combos[i].copy()
+def _add_row_sums(out: np.ndarray, w: np.ndarray, T: np.ndarray) -> None:
+    # out += w[T].sum(axis=1), gathered a bounded block of rows at a time
+    for r in range(0, T.shape[0], GATHER_ROWS):
+        out[r : r + GATHER_ROWS] += w[T[r : r + GATHER_ROWS]].sum(axis=1)
+
+
+def _constrained_prefix(A: np.ndarray, b: np.ndarray, k: int) -> tuple[list, float]:
+    # The k-subsets in colex order are the top t elements, fixed one at a time
+    # in an outer colex loop (largest first), over the j = k - t bottom elements
+    # drawn from one colex table, where t is the fewest tops that keep the table
+    # within SCAN_ENERGIES rows.
+    n = b.shape[0]
+    j = k
+    while j > 1 and math.comb(n - (k - j), j) > SCAN_ENERGIES:
+        j -= 1
+    T, E = _colex_table(A, b, j, n - (k - j))
+    best_c, best_e = None, np.inf
+
+    def bottom(u, tops, offset, w):
+        nonlocal best_c, best_e
+        rows = math.comb(u, j)
+        for r0 in range(0, rows, GATHER_ROWS):
+            e = E[r0 : min(rows, r0 + GATHER_ROWS)] + offset
+            if tops:
+                _add_row_sums(e, w, T[r0 : r0 + e.shape[0]])
+            i = int(np.argmin(e))  # first minimum: colex-first in the block
+            if e[i] < best_e:
+                best_c, best_e = [*T[r0 + i].tolist(), *reversed(tops)], float(e[i])
+
+    def outer(t, u, tops, offset, w):
+        # w[p] = 2 * sum of A[p, q] over the tops q fixed so far
+        if t == 0:
+            return bottom(u, tops, offset, w)
+        for m in range(j + t - 1, u):
+            outer(t - 1, m, (*tops, m), offset + A[m, m] + b[m] + w[m], w[:m] + 2.0 * A[m, :m])
+
+    outer(k - j, n, (), 0.0, np.zeros(n))
     return best_c, best_e
 
 
@@ -201,7 +256,7 @@ def constrained_best(A: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, 
     if active_backend() == "numba":
         idx, energy = _constrained_colex_jit(A, b, k)
     else:
-        idx, energy = _constrained_numpy(A, b, k)
+        idx, energy = _constrained_prefix(A, b, k)
     return np.asarray(idx, dtype=np.int64), float(energy)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalIntegrityError
-from .kernels import Dataset, KernelMatrix, KernelSpec, eval_kernel
+from .kernels import Dataset, KernelMatrix, KernelSpec, _kernel_row
 from .qubo import Selection
 
 MMD_CLAMP = -1e-12
@@ -34,10 +34,7 @@ class MmdReport:
 
 def kde_density(spec: KernelSpec, data: Dataset, x) -> float:
     """Mean kernel value between a probe point and every dataset point."""
-    total = 0.0
-    for i in range(data.n):
-        total += eval_kernel(spec, data.points[i], x)
-    return total / data.n
+    return float(np.mean(_kernel_row(spec, x, data.points)))
 
 
 def kde_density_subset(spec: KernelSpec, data: Dataset, sel: Selection, x) -> float:
@@ -47,10 +44,7 @@ def kde_density_subset(spec: KernelSpec, data: Dataset, sel: Selection, x) -> fl
     idx = sel.indices
     if idx.size == 0:
         raise InputError("selection is empty")
-    total = 0.0
-    for i in idx:
-        total += eval_kernel(spec, data.points[i], x)
-    return total / idx.size
+    return float(np.mean(_kernel_row(spec, x, data.points[idx])))
 
 
 def mmd_squared(K: KernelMatrix, sel: Selection) -> MmdReport:

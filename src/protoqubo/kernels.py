@@ -174,19 +174,23 @@ def _check_point(x, name: str) -> np.ndarray:
     return v
 
 
-def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """Evaluate a parametric kernel on a single pair of points."""
+def _kernel_row(spec: KernelSpec, x, Y: np.ndarray) -> np.ndarray:
+    """Kernel values between the probe point x and each row of the checked points Y."""
     if isinstance(spec, PrecomputedKernel):
         raise InputError("a precomputed kernel cannot be evaluated on raw points")
     xv = _check_point(x, "x")
-    yv = _check_point(y, "y")
-    if xv.shape != yv.shape:
-        raise InputError(f"dimension mismatch: x has d={xv.size}, y has d={yv.size}")
+    if xv.size != Y.shape[1]:
+        raise InputError(f"dimension mismatch: x has d={xv.size}, y has d={Y.shape[1]}")
     if isinstance(spec, RbfKernel):
-        return float(np.exp(-np.sum((xv - yv) ** 2) / spec.h))
+        return np.exp(-np.sum((xv - Y) ** 2, axis=1) / spec.h)
     if isinstance(spec, LaplacianKernel):
-        return float(np.exp(-np.sum(np.abs(xv - yv)) / spec.h))
+        return np.exp(-np.sum(np.abs(xv - Y), axis=1) / spec.h)
     raise InputError(f"unknown kernel spec {spec!r}")
+
+
+def eval_kernel(spec: KernelSpec, x, y) -> float:
+    """Evaluate a parametric kernel on a single pair of points."""
+    return float(_kernel_row(spec, x, _check_point(y, "y")[None, :])[0])
 
 
 def kernel_matrix(spec: KernelSpec, data: Dataset) -> KernelMatrix:
@@ -225,7 +229,7 @@ def kernel_to_distance(K: KernelMatrix) -> DistanceMatrix:
     if not K.normalized:
         bad = int(np.argmax(np.abs(np.diag(K.entries) - 1.0)))
         raise PreconditionError(
-            f"kernel is not normalized: diagonal entry {bad} is {K.entries[bad, bad]!r}"
+            f"kernel is not normalized: diagonal entry {bad} is {float(K.entries[bad, bad])}"
         )
     return DistanceMatrix(1.0 - K.entries)
 

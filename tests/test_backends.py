@@ -5,6 +5,10 @@ The plain-Python loop bodies in `accel` (`_exhaustive_gray`,
 they are the reference for visiting order and tie-break.  The numpy scans are
 checked against them on every machine; the jitted paths are checked only where
 numba imports, and those tests skip with "numba not importable" elsewhere.
+The numpy scans work in blocks; small budgets make the agreement tests cross
+block boundaries, and at sizes too large for the interpreted loops, programs
+with planted ties and known answers check the first-minimum rule where
+blocks meet.
 
 `_sa_sweeps` keeps a local field, so it is itself checked against
 `reference_sa_sweeps` below, the annealing loop that recomputes each row sum
@@ -100,10 +104,21 @@ def test_env_flag_resolution(monkeypatch):
 
 
 def test_colex_chunk_order_matches_integer_order():
-    combos = [c.copy() for chunk in accel._colex_chunks(7, 3, 5) for c in chunk]
-    ints = [sum(1 << int(i) for i in c) for c in combos]
+    T, _ = accel._colex_table(np.zeros((7, 7)), np.zeros(7), 3, 7)
+    ints = [sum(1 << int(i) for i in c) for c in T]
     assert ints == sorted(ints)
-    assert len(ints) == 35
+    assert len(set(ints)) == len(ints) == 35
+
+
+def test_colex_table_energies_match_direct_sums():
+    rng = np.random.default_rng(74)
+    A = random_symmetric(rng, 9, integers=True)
+    b = rng.integers(-4, 5, 9).astype(float)
+    T, E = accel._colex_table(A, b, 4, 9)
+    assert len(T) == 126
+    for c, e in zip(T, E):
+        c = c.astype(np.int64)
+        assert e == A[np.ix_(c, c)].sum() + b[c].sum()
 
 
 def test_exhaustive_backends_agree(monkeypatch):
@@ -134,6 +149,97 @@ def test_constrained_backends_agree(monkeypatch):
             c, e = accel.constrained_best(A, b, k)
             np.testing.assert_array_equal(c, c0)
             assert e == pytest.approx(e0, abs=1e-9)
+
+
+def test_scans_agree_across_small_blocks(monkeypatch):
+    # budgets of a few rows make every scan cross many block boundaries and
+    # fix several top elements in the outer colex loop
+    monkeypatch.setenv(accel.ENV_VAR, "numpy")
+    monkeypatch.setattr(accel, "SCAN_ENERGIES", 7)
+    monkeypatch.setattr(accel, "GATHER_ROWS", 3)
+    rng = np.random.default_rng(75)
+    for trial in range(60):
+        n = int(rng.integers(1, 11))
+        k = int(rng.integers(1, n + 1))
+        A = random_symmetric(rng, n, integers=True)
+        b = rng.integers(-4, 5, n).astype(float)
+        z0, e0 = reference_exhaustive(A)
+        z, e = accel.exhaustive_best(A)
+        np.testing.assert_array_equal(z, z0)
+        assert e == e0
+        c0, e0 = accel._constrained_colex(A, b, k)
+        c, e = accel.constrained_best(A, b, k)
+        np.testing.assert_array_equal(c, c0)
+        assert e == e0
+
+
+@pytest.mark.parametrize("n", [17, 20, 23, 24])
+def test_exhaustive_planted_ties(monkeypatch, n):
+    # Q = diag(d), d in {-1, 0}: every state that sets all the -1 bits is
+    # optimal, and the smallest integer among them sets nothing else
+    monkeypatch.setenv(accel.ENV_VAR, "numpy")
+    rng = np.random.default_rng(76 + n)
+    d = np.where(rng.random(n) < 0.5, -1.0, 0.0)
+    half = (n + 1) // 2
+    assert (d[:half] == 0).any() and (d[half:] == 0).any()  # ties in both halves
+    z, e = accel.exhaustive_best(np.diag(d))
+    np.testing.assert_array_equal(z, (d < 0).astype(np.int8))
+    assert e == d.sum()
+
+
+@pytest.mark.parametrize("n, k", [(40, 5), (24, 12), (3000, 2)])
+def test_constrained_planted_ties(monkeypatch, n, k):
+    # A = 0: a subset's energy is its b-sum, so the optimal subsets hold the
+    # k smallest values, and the colex-first of them takes the lowest indices
+    # among tied values, as a stable sort does
+    monkeypatch.setenv(accel.ENV_VAR, "numpy")
+    rng = np.random.default_rng(77 + n)
+    b = rng.integers(0, 4, n).astype(float)
+    expected = np.sort(np.argsort(b, kind="stable")[:k])
+    assert (b == b[expected].max()).sum() > (b[expected] == b[expected].max()).sum()
+    c, e = accel.constrained_best(np.zeros((n, n)), b, k)
+    np.testing.assert_array_equal(c, expected)
+    assert e == b[expected].sum()
+
+
+@pytest.mark.parametrize("n, k", [(40, 5), (24, 12), (3000, 2)])
+def test_constrained_zero_program_picks_the_first_subset(monkeypatch, n, k):
+    monkeypatch.setenv(accel.ENV_VAR, "numpy")
+    c, e = accel.constrained_best(np.zeros((n, n)), np.zeros(n), k)
+    np.testing.assert_array_equal(c, np.arange(k))
+    assert e == 0.0
+
+
+@pytest.mark.parametrize("n", [17, 24])
+def test_exhaustive_zero_program_picks_state_zero(monkeypatch, n):
+    monkeypatch.setenv(accel.ENV_VAR, "numpy")
+    z, e = accel.exhaustive_best(np.zeros((n, n)))
+    assert not z.any() and e == 0.0
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (2, 2), (6, 1), (6, 5), (6, 6), (9, 8)])
+def test_constrained_edge_shapes(monkeypatch, n, k):
+    monkeypatch.setenv(accel.ENV_VAR, "numpy")
+    rng = np.random.default_rng(78 + 10 * n + k)
+    for integers in (True, False):
+        A = random_symmetric(rng, n, integers=integers)
+        b = rng.integers(-4, 5, n).astype(float) if integers else rng.normal(size=n)
+        c0, e0 = accel._constrained_colex(A, b, k)
+        c, e = accel.constrained_best(A, b, k)
+        np.testing.assert_array_equal(c, c0)
+        assert e == pytest.approx(e0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9])
+def test_exhaustive_edge_shapes(monkeypatch, n):
+    monkeypatch.setenv(accel.ENV_VAR, "numpy")
+    rng = np.random.default_rng(79 + n)
+    for integers in (True, False):
+        Q = random_symmetric(rng, n, integers=integers)
+        z0, e0 = reference_exhaustive(Q)
+        z, e = accel.exhaustive_best(Q)
+        np.testing.assert_array_equal(z, z0)
+        assert e == pytest.approx(e0, abs=1e-9)
 
 
 def test_sa_backends_agree_on_integer_instances(monkeypatch):

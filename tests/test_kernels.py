@@ -104,6 +104,12 @@ def test_kernel_to_distance_requires_normalized():
         kernel_to_distance(K)
 
 
+def test_kernel_to_distance_message_prints_the_entry_as_a_float():
+    K = kernel_matrix(PrecomputedKernel(2.0 * np.eye(3)), Dataset(np.zeros((3, 1))))
+    with pytest.raises(PreconditionError, match=r"diagonal entry 0 is 2\.0$"):
+        kernel_to_distance(K)
+
+
 def test_welsch_identity_on_random_data():
     # RBF with bandwidth 2 induces the Welsch loss 1 - exp(-||x-y||^2 / 2).
     rng = np.random.default_rng(3)

@@ -64,6 +64,7 @@ def cases(work: Path) -> list:
     small = _write_csv(work / "n20.csv", _clustered(rng, 20, 2))
     mid = _write_csv(work / "n30.csv", _clustered(rng, 30, 3))
     large = _write_csv(work / "n700.csv", _clustered(rng, 700, 4))
+    wide = _write_csv(work / "n24.csv", _clustered(rng, 24, 2))
     ragged = work / "ragged.csv"
     ragged.write_text("1,2\n3\n")
 
@@ -81,6 +82,12 @@ def cases(work: Path) -> list:
                         "--solver", solver, *sa])
     out.append(["select", "--input", small, "--k", "3", "--formulation", "med",
                 "--gamma", "0.7"])
+    # exact scans large enough to cross the blocks of the numpy scans
+    for csv, k, solver in ((mid, 5, "constrained"), (large, 2, "constrained"),
+                           (wide, 3, "exhaustive")):
+        for form in ("med", "kde"):
+            out.append(["select", "--input", csv, "--k", str(k), "--formulation", form,
+                        "--solver", solver])
     out.append(["baseline", "--input", mid, "--k", "3", "--seed", "2"])
     out.append(["baseline", "--input", mid, "--k", "3", "--seed", "2", "--kernel", "rbf:2.0"])
     out.append(["select", "--input", str(ragged), "--k", "1"])
