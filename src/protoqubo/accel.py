@@ -221,9 +221,7 @@ def _constrained_prefix(A: np.ndarray, b: np.ndarray, k: int) -> tuple[list, flo
         j -= 1
     T, E = _colex_table(A, b, j, n - (k - j))
     best_c, best_e = None, np.inf
-
-    def bottom(u, tops, offset, w):
-        nonlocal best_c, best_e
+    for u, tops, offset, w in _colex_tops(A, b, j, k - j, n, (), 0.0, np.zeros(n)):
         rows = math.comb(u, j)
         for r0 in range(0, rows, GATHER_ROWS):
             e = E[r0 : min(rows, r0 + GATHER_ROWS)] + offset
@@ -232,16 +230,22 @@ def _constrained_prefix(A: np.ndarray, b: np.ndarray, k: int) -> tuple[list, flo
             i = int(np.argmin(e))  # first minimum: colex-first in the block
             if e[i] < best_e:
                 best_c, best_e = [*T[r0 + i].tolist(), *reversed(tops)], float(e[i])
-
-    def outer(t, u, tops, offset, w):
-        # w[p] = 2 * sum of A[p, q] over the tops q fixed so far
-        if t == 0:
-            return bottom(u, tops, offset, w)
-        for m in range(j + t - 1, u):
-            outer(t - 1, m, (*tops, m), offset + A[m, m] + b[m] + w[m], w[:m] + 2.0 * A[m, :m])
-
-    outer(k - j, n, (), 0.0, np.zeros(n))
     return best_c, best_e
+
+
+def _colex_tops(A, b, j, t, u, tops, offset, w):
+    # Every way to fix t more top elements below u, largest first, in colex
+    # order, as (bound of the bottom elements, tops, energy of the tops, w)
+    # with w[p] = 2 * sum of A[p, q] over the tops q.  A module-level
+    # generator rather than a recursive closure: a closure that calls itself
+    # is a reference cycle, which would keep the table alive after the scan
+    # until the cyclic collector happens to run.
+    if t == 0:
+        yield u, tops, offset, w
+        return
+    for m in range(j + t - 1, u):
+        yield from _colex_tops(A, b, j, t - 1, m, (*tops, m),
+                               offset + A[m, m] + b[m] + w[m], w[:m] + 2.0 * A[m, :m])
 
 
 def constrained_best(A: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, float]:

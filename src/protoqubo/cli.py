@@ -15,7 +15,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .density import mmd_squared
 from .errors import CapacityError, InputError, NumericalIntegrityError
-from .formulations import EquivalenceReport, build_kde_qbp, build_med_qbp, verify_equivalence
+from .formulations import build_kde_qbp, build_med_qbp, verify_equivalence
 from .kernels import (
     Dataset,
     KernelMatrix,
@@ -55,6 +55,7 @@ EXIT_VERIFY_FAILED = 3
 EXIT_NUMERIC = 4
 
 DEFAULT_KERNEL = "rbf:2.0"
+DEFAULT_SWEEPS = 2000  # annealing sweeps per restart of `select --solver sa`
 
 
 @dataclass
@@ -199,7 +200,7 @@ def run(config: RunConfig) -> RunResult:
     K, qbp, gamma = prepare(config)
 
     lam = config.lam
-    schedule = config.sa_schedule if config.sa_schedule is not None else SaSchedule()
+    schedule = config.sa_schedule or SaSchedule(sweeps=DEFAULT_SWEEPS)
     if config.solver == "constrained":
         report = solve_constrained_exhaustive(qbp)
         lam = None
@@ -212,13 +213,7 @@ def run(config: RunConfig) -> RunResult:
         else:
             # warm enough to melt a random start down through the +lam
             # feasibility barriers; the generic default freezes early here
-            schedule = SaSchedule(
-                t_start=max(schedule.t_start, 2.0 * lam),
-                t_end=schedule.t_end,
-                sweeps=max(schedule.sweeps, 2000) if config.sa_schedule is None
-                else schedule.sweeps,
-                restarts=schedule.restarts,
-            )
+            schedule = replace(schedule, t_start=max(schedule.t_start, 2.0 * lam))
             report = solve_sa(q, schedule, config.seed)
 
     sel = report.best
@@ -258,13 +253,6 @@ def run(config: RunConfig) -> RunResult:
         within_scatter=_selection_scatter(K, sel),
         provenance=provenance,
     )
-
-
-def verify_command(config: RunConfig, med_lambda: float, tolerance: float) -> EquivalenceReport:
-    """Check the med/kde QUBO matrix identity on the configured dataset and kernel."""
-    data = ingest_csv(config.input_path, config.has_header)
-    K = kernel_matrix(parse_kernel(config.kernel), data)
-    return verify_equivalence(K, config.k, med_lambda, tolerance)
 
 
 def _emit(text: str, output_path: Optional[str]) -> None:
@@ -319,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_formulation(sel)
     sel.add_argument("--solver", choices=("exhaustive", "constrained", "sa"), default="constrained")
     sel.add_argument("--sweeps", type=int, default=None,
-                     help="annealing sweeps per restart (default 2000)")
+                     help=f"annealing sweeps per restart (default {DEFAULT_SWEEPS})")
     sel.add_argument("--restarts", type=int, default=None,
                      help="annealing restarts (default 8)")
 
@@ -350,7 +338,7 @@ def _cmd_select(args) -> int:
     schedule = None
     if args.sweeps is not None or args.restarts is not None:
         schedule = SaSchedule(
-            sweeps=args.sweeps if args.sweeps is not None else 2000,
+            sweeps=args.sweeps if args.sweeps is not None else DEFAULT_SWEEPS,
             restarts=args.restarts if args.restarts is not None else SaSchedule().restarts,
         )
     config = _config(args, formulation=args.formulation, gamma=args.gamma, lam=args.lam,
@@ -362,7 +350,9 @@ def _cmd_select(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = _config(args)
-    report = verify_command(config, args.lam, args.tolerance)
+    data = ingest_csv(config.input_path, config.has_header)
+    K = kernel_matrix(parse_kernel(config.kernel), data)
+    report = verify_equivalence(K, config.k, args.lam, args.tolerance)
     doc = {
         "equivalence": asdict(report),
         "provenance": _provenance(config, {"tolerance": args.tolerance}),

@@ -8,6 +8,10 @@ Kernel conventions used throughout:
 Both are normalized (``K(x, x) = 1``), which is what licenses turning a kernel
 matrix into a distance matrix via ``D = 1 - K``.  With ``h = 2`` the RBF
 complement distance is exactly Welsch's M-estimator ``1 - exp(-||x - y||^2 / 2)``.
+
+Every kernel and distance value comes from one scipy ``cdist`` call with the
+kernel's metric, so `eval_kernel`, the densities and `kernel_matrix` return
+the same doubles for the same pair of points.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .errors import InputError, PreconditionError
 
@@ -118,6 +122,9 @@ class PrecomputedKernel:
 
 KernelSpec = Union[RbfKernel, LaplacianKernel, PrecomputedKernel]
 
+# scipy metric of each parametric kernel: K(x, y) = exp(-metric(x, y) / h)
+_METRICS = {RbfKernel: "sqeuclidean", LaplacianKernel: "cityblock"}
+
 
 @dataclass(frozen=True)
 class KernelMatrix:
@@ -181,11 +188,15 @@ def _kernel_row(spec: KernelSpec, x, Y: np.ndarray) -> np.ndarray:
     xv = _check_point(x, "x")
     if xv.size != Y.shape[1]:
         raise InputError(f"dimension mismatch: x has d={xv.size}, y has d={Y.shape[1]}")
-    if isinstance(spec, RbfKernel):
-        return np.exp(-np.sum((xv - Y) ** 2, axis=1) / spec.h)
-    if isinstance(spec, LaplacianKernel):
-        return np.exp(-np.sum(np.abs(xv - Y), axis=1) / spec.h)
-    raise InputError(f"unknown kernel spec {spec!r}")
+    return _kernel_values(spec, xv[None, :], Y)[0]
+
+
+def _kernel_values(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``exp(-dist(x, y) / h)`` for every row x of X and row y of Y, from one cdist call."""
+    metric = _METRICS.get(type(spec))
+    if metric is None:
+        raise InputError(f"unknown kernel spec {spec!r}")
+    return np.exp(-cdist(X, Y, metric) / spec.h)
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
@@ -196,9 +207,12 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
 def kernel_matrix(spec: KernelSpec, data: Dataset) -> KernelMatrix:
     """Build the n-by-n kernel matrix of a dataset.
 
-    For parametric kernels the pairwise terms are computed once for the upper
-    triangle and mirrored, so the result is exactly symmetric.  A precomputed
-    matrix is passed through after validation against the dataset size.
+    For parametric kernels every entry comes from the one scipy metric call
+    that `eval_kernel` also makes, so entry (i, j) is the double
+    ``eval_kernel(spec, x_i, x_j)`` returns.  The matrix is exactly symmetric
+    because each metric is symmetric in IEEE arithmetic (``(a - b)**2`` and
+    ``|a - b|`` do not depend on the order of a and b).  A precomputed matrix
+    is passed through after validation against the dataset size.
     """
     if isinstance(spec, PrecomputedKernel):
         if spec.matrix.shape[0] != data.n:
@@ -207,17 +221,7 @@ def kernel_matrix(spec: KernelSpec, data: Dataset) -> KernelMatrix:
                 f"but the dataset has n={data.n}"
             )
         return KernelMatrix(spec.matrix)
-    if isinstance(spec, RbfKernel):
-        if data.n == 1:
-            return KernelMatrix(np.ones((1, 1)))
-        sq = squareform(pdist(data.points, metric="sqeuclidean"))
-        return KernelMatrix(np.exp(-sq / spec.h))
-    if isinstance(spec, LaplacianKernel):
-        if data.n == 1:
-            return KernelMatrix(np.ones((1, 1)))
-        l1 = squareform(pdist(data.points, metric="cityblock"))
-        return KernelMatrix(np.exp(-l1 / spec.h))
-    raise InputError(f"unknown kernel spec {spec!r}")
+    return KernelMatrix(_kernel_values(spec, data.points, data.points))
 
 
 def kernel_to_distance(K: KernelMatrix) -> DistanceMatrix:
@@ -236,6 +240,4 @@ def kernel_to_distance(K: KernelMatrix) -> DistanceMatrix:
 
 def euclidean_distance_matrix(data: Dataset) -> DistanceMatrix:
     """Plain pairwise Euclidean distances of a dataset."""
-    if data.n == 1:
-        return DistanceMatrix(np.zeros((1, 1)))
-    return DistanceMatrix(squareform(pdist(data.points, metric="euclidean")))
+    return DistanceMatrix(cdist(data.points, data.points, "euclidean"))

@@ -153,8 +153,6 @@ class SaSchedule:
             raise InputError("sweeps and restarts must both be >= 1")
 
     def temperatures(self) -> np.ndarray:
-        if self.sweeps == 1:
-            return np.array([self.t_start])
         return np.geomspace(self.t_start, self.t_end, self.sweeps)
 
 

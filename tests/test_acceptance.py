@@ -14,6 +14,7 @@ import pytest
 
 import protoqubo as pq
 from protoqubo.cli import main
+from protoqubo.qubo import _gamma
 
 
 def report(cid, name, ok, detail=""):
@@ -124,6 +125,65 @@ def test_criterion_4_scaled_mmd_matches_program_energy():
     ok = worst <= 1e-9
     report(4, "k^2-scaled mmd equals program energy plus constant", ok,
            f"worst dev={worst:.3e}")
+    assert ok
+
+
+def scaled_mmd_rounding_bound(n, k, W, V, T):
+    """Bound on |k^2 * mmd_squared - (qbp_energy + (k/n)^2 * sum K)| for a nonnegative K.
+
+    With the exact sums of the stored entries, W over selected pairs, V of the
+    selected rows' sums and T of all entries, both sides equal
+    ``W - (2k/n)*V + (k/n)^2*T``.  Recursive summation (Higham, ch. 3-4): a
+    sum or dot product of m terms, in any order, is within ``g(m)`` times the
+    sum of the terms' magnitudes, and ``(1 + g(a))(1 + g(b)) <= 1 + g(a + b)``.
+    Each side computes each of the three terms as the exact term times
+    ``1 + t``:
+
+    * the W and V terms through two sums of at most n terms (a row or column
+      sum, then its sum over the selection) and at most four single
+      roundings (the coefficient 2k/n, the divisions or scalings, and the two
+      additions), so ``|t| <= g(2n + 4)``;
+    * the T term through one sum of n^2 entries and at most eight single
+      roundings (k/n, its square counted as two, the division by n^2 or the
+      product, the scaling by k^2 and the additions), so ``|t| <= g(n^2 + 8)``.
+
+    The two sides therefore differ by at most
+    ``2*(g(2n + 4)*(W + 2k*V/n) + g(n^2 + 8)*(k/n)^2*T)``.  The caller's W, V
+    and T are numpy sums of the same nonnegative entries, each at least
+    ``1 - g(n^2)`` times the exact one, so the bound divides by that factor.
+    """
+    per_pair = _gamma(2 * n + 4) * (W + 2.0 * k * V / n)
+    grand = _gamma(n * n + 8) * (k / n) ** 2 * T
+    return 2.0 * (per_pair + grand) / (1.0 - _gamma(n * n))
+
+
+def test_criterion_4_at_n_3000():
+    # scaled MMD = program energy + constant on seeded feasible selections of
+    # a 3000-point kernel, against the derived rounding bound of both sides
+    rng = np.random.default_rng(404)
+    n, d = 3000, 8
+    centres = rng.normal(scale=3.0, size=(6, d))
+    data = pq.Dataset(centres[rng.integers(0, 6, size=n)] + rng.normal(size=(n, d)))
+    K = pq.kernel_matrix(pq.RbfKernel(2.0 * d), data)
+    rows = K.entries.sum(axis=1)
+    total = float(K.entries.sum())
+    ok, details = True, []
+    for k in (10, 50, 300):
+        p = pq.build_kde_qbp(K, k)
+        const = (k / n) ** 2 * total
+        worst, worst_ratio = 0.0, 0.0
+        for _ in range(20):
+            idx = np.sort(rng.choice(n, size=k, replace=False))
+            sel = pq.Selection.from_indices(n, idx)
+            lhs = k**2 * pq.mmd_squared(K, sel).mmd_squared
+            residual = abs(lhs - (pq.qbp_energy(p, sel) + const))
+            W = float(K.entries[np.ix_(idx, idx)].sum())
+            bound = scaled_mmd_rounding_bound(n, k, W, float(rows[idx].sum()), total)
+            ok &= residual <= bound
+            worst, worst_ratio = max(worst, residual), max(worst_ratio, residual / bound)
+        details.append(f"k={k}: worst dev={worst:.2e}, {worst_ratio:.1e} of bound")
+    report(4, "k^2-scaled mmd equals program energy plus constant at n=3000", ok,
+           "; ".join(details))
     assert ok
 
 

@@ -16,6 +16,8 @@ at O(n) per proposal: bit for bit on integer instances, and on float
 instances to the same best state and to within the derived drift bound.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,27 @@ def test_exhaustive_edge_shapes(monkeypatch, n):
         z, e = accel.exhaustive_best(Q)
         np.testing.assert_array_equal(z, z0)
         assert e == pytest.approx(e0, abs=1e-9)
+
+
+@pytest.mark.parametrize("budget", [1 << 20, 40])
+def test_numpy_scans_leave_no_reference_cycles(monkeypatch, budget):
+    # A scan whose tables sit in a reference cycle stays resident until the
+    # cyclic collector happens to run, so the peak memory of a run of scans
+    # would depend on the collector's timing.  The small budget makes the
+    # k-subset scan fix top elements in its outer loop.
+    monkeypatch.setenv(accel.ENV_VAR, "numpy")
+    monkeypatch.setattr(accel, "SCAN_ENERGIES", budget)
+    rng = np.random.default_rng(80)
+    A = random_symmetric(rng, 12)
+    b = rng.normal(size=12)
+    gc.collect()
+    gc.disable()
+    try:
+        accel.constrained_best(A, b, 4)
+        accel.exhaustive_best(A)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_sa_backends_agree_on_integer_instances(monkeypatch):

@@ -16,6 +16,7 @@ from protoqubo import (
     RbfKernel,
     euclidean_distance_matrix,
     eval_kernel,
+    kde_density,
     kernel_matrix,
     kernel_to_distance,
 )
@@ -62,6 +63,24 @@ def test_kernel_matrix_single_point():
     assert K.entries.shape == (1, 1)
     assert K.entries[0, 0] == 1.0
     assert K.normalized
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 17])
+@pytest.mark.parametrize("make_spec", [RbfKernel, LaplacianKernel])
+def test_every_evaluation_path_gives_the_matrix_entry_bit_for_bit(make_spec, d):
+    # eval_kernel, kde_density and kernel_matrix share one metric call, so a
+    # kernel value is the same double wherever it is computed.
+    rng = np.random.default_rng(15 + d)
+    points = rng.normal(scale=2.0, size=(40, d))
+    spec = make_spec(0.7 * d)
+    data = Dataset(points)
+    K = kernel_matrix(spec, data).entries
+    for i in range(len(points)):
+        row = [eval_kernel(spec, points[i], points[j]) for j in range(len(points))]
+        np.testing.assert_array_equal(np.array(row), K[i], strict=True)
+        assert kde_density(spec, data, points[i]) == float(np.mean(K[i]))
+    one = kernel_matrix(spec, Dataset(points[:1])).entries
+    np.testing.assert_array_equal(one, np.array([[1.0]]), strict=True)
 
 
 def test_kernel_matrix_two_points_rbf():

@@ -277,6 +277,10 @@ class TestSimulatedAnnealing:
         with pytest.raises(InputError):
             SaSchedule(restarts=0)
 
+    def test_one_sweep_runs_at_the_start_temperature(self):
+        temps = SaSchedule(t_start=7.3, t_end=0.1, sweeps=1).temperatures()
+        np.testing.assert_array_equal(temps, np.array([7.3]), strict=True)
+
 
 class TestExport:
     def parse(self, text):

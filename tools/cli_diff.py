@@ -65,6 +65,11 @@ def cases(work: Path) -> list:
     mid = _write_csv(work / "n30.csv", _clustered(rng, 30, 3))
     large = _write_csv(work / "n700.csv", _clustered(rng, 700, 4))
     wide = _write_csv(work / "n24.csv", _clustered(rng, 24, 2))
+    single = _write_csv(work / "n1.csv", _clustered(rng, 1, 3))
+    deep = _write_csv(work / "n30d9.csv", _clustered(rng, 30, 9))
+    gram = _clustered(rng, 20, 4)
+    gram = np.exp(-((gram[:, None, :] - gram[None, :, :]) ** 2).sum(axis=2) / 8.0)
+    precomputed = _write_csv(work / "k20.csv", gram)
     ragged = work / "ragged.csv"
     ragged.write_text("1,2\n3\n")
 
@@ -92,6 +97,21 @@ def cases(work: Path) -> list:
     out.append(["baseline", "--input", mid, "--k", "3", "--seed", "2", "--kernel", "rbf:2.0"])
     out.append(["select", "--input", str(ragged), "--k", "1"])
     out.append(["export-qubo", "--input", small, "--k", "21"])
+    # one point: the 1x1 kernel and distance matrices
+    for kernel in ("rbf:2.0", "laplacian:1.5"):
+        out.append(["select", "--input", single, "--k", "1", "--kernel", kernel])
+    out.append(["baseline", "--input", single, "--k", "1"])
+    out.append(["baseline", "--input", single, "--k", "1", "--kernel", "rbf:2.0"])
+    out.append(["export-qubo", "--input", single, "--k", "1"])
+    # d = 9, where a sum of coordinate terms depends on the evaluation order
+    for form in ("med", "kde"):
+        out.append(["select", "--input", deep, "--k", "4", "--kernel", "laplacian:1.5",
+                    "--formulation", form])
+    out.append(["verify", "--input", deep, "--k", "4", "--kernel", "laplacian:1.5"])
+    out.append(["export-qubo", "--input", deep, "--k", "4", "--kernel", "laplacian:1.5"])
+    out.append(["select", "--input", small, "--k", "3", "--kernel", f"precomputed:{precomputed}"])
+    # the default annealing length of the command line
+    out.append(["select", "--input", small, "--k", "3", "--solver", "sa", "--restarts", "1"])
     return out
 
 
@@ -120,7 +140,7 @@ def compare(old_src: str, new_src: str) -> tuple[list, int]:
         old, new = (_finish(c, s) for c, s in zip(children, (old_src, new_src)))
     diffs = []
     for argv, a, b in zip(argvs, old, new):
-        label = " ".join(Path(v).name if v.startswith(tmp) else v for v in argv)
+        label = " ".join(argv).replace(tmp + os.sep, "")
         if a["code"] != b["code"]:
             diffs.append(f"{label}: exit code {a['code']!r} -> {b['code']!r}")
         for stream in ("stdout", "stderr"):
