@@ -44,7 +44,6 @@ from .qubo import (
     SaSchedule,
     Selection,
     SolveReport,
-    SolveStats,
     export_qubo,
     qbp_energy,
     qbp_to_qubo,
@@ -76,7 +75,6 @@ __all__ = [
     "SaSchedule",
     "Selection",
     "SolveReport",
-    "SolveStats",
     "build_kde_qbp",
     "build_med_qbp",
     "euclidean_distance_matrix",

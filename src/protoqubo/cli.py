@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from typing import Optional
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import CapacityError, InputError, NumericalIntegrityError
 from .formulations import build_kde_qbp, build_med_qbp, verify_equivalence
 from .kernels import (
     Dataset,
+    DistanceMatrix,
     KernelMatrix,
     KernelSpec,
     LaplacianKernel,
@@ -58,44 +60,6 @@ DEFAULT_KERNEL = "rbf:2.0"
 DEFAULT_SWEEPS = 2000  # annealing sweeps per restart of `select --solver sa`
 
 
-@dataclass
-class RunConfig:
-    """Settings of one CLI run; every subcommand echoes them into its provenance."""
-
-    input_path: str
-    kernel: str
-    k: int
-    formulation: str = "kde"
-    gamma: Optional[float] = None
-    lam: Optional[float] = None
-    solver: str = "constrained"
-    sa_schedule: Optional[SaSchedule] = None
-    seed: int = 0
-    has_header: bool = False
-
-
-@dataclass
-class RunResult:
-    selected_indices: list
-    objective: float
-    feasible: bool
-    mmd_squared: float
-    within_scatter: Optional[float]
-    provenance: dict
-
-    def to_json(self) -> str:
-        doc = {
-            "selected_indices": self.selected_indices,
-            "objective": self.objective,
-            "feasible": self.feasible,
-            "mmd_squared": self.mmd_squared,
-            "within_scatter": self.within_scatter,
-            "equivalence": None,
-            "provenance": self.provenance,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-
 def ingest_csv(path: str, has_header: bool = False) -> Dataset:
     """Read a rectangular numeric CSV into a dataset, reporting bad cells by location."""
     rows = []
@@ -125,6 +89,10 @@ def ingest_csv(path: str, has_header: bool = False) -> Dataset:
                     raise InputError(
                         f"{path}: row {lineno}, column {col}: not a number: {cell!r}"
                     ) from None
+                if not math.isfinite(values[-1]):
+                    raise InputError(
+                        f"{path}: row {lineno}, column {col}: not a finite number: {cell!r}"
+                    )
             rows.append(values)
     if not rows:
         raise InputError(f"{path}: no data rows")
@@ -149,110 +117,114 @@ def parse_kernel(text: str) -> KernelSpec:
     raise InputError(f"unknown kernel kind {kind!r}")
 
 
-def prepare(config: RunConfig) -> tuple[KernelMatrix, QbpInstance, float]:
-    """Check the formulation and gamma, ingest, build the kernel and the constrained program.
+def _load(args) -> tuple[Dataset, Optional[KernelMatrix]]:
+    """Ingest the data, then build the kernel matrix (None when no kernel is given)."""
+    data = ingest_csv(args.input, args.header)
+    return data, None if args.kernel is None else kernel_matrix(parse_kernel(args.kernel), data)
 
-    Returns the kernel matrix, the program and the gamma in effect (the
-    configured one, or 2k/n, at which med and kde coincide).
+
+def prepare(args) -> tuple[KernelMatrix, Optional[DistanceMatrix], QbpInstance, float]:
+    """Check gamma, load the data and kernel, and build the constrained program.
+
+    Returns the kernel matrix, the med program's distance matrix D = 1 - K
+    (None for kde), the program, and the gamma in effect (the given one, or
+    2k/n, at which med and kde coincide).
     """
-    if config.formulation not in ("med", "kde"):
-        raise InputError(f"formulation must be med or kde, got {config.formulation!r}")
-    if config.formulation != "med" and config.gamma is not None:
+    if args.formulation != "med" and args.gamma is not None:
         raise InputError("--gamma applies to the med formulation only")
-    data = ingest_csv(config.input_path, config.has_header)
-    K = kernel_matrix(parse_kernel(config.kernel), data)
-    if not (1 <= config.k <= data.n):
-        raise InputError(f"cardinality k={config.k} out of range [1, {data.n}]")
-    gamma = config.gamma if config.gamma is not None else 2.0 * config.k / data.n
-    if config.formulation == "med":
-        return K, build_med_qbp(kernel_to_distance(K), gamma, config.k), gamma
-    return K, build_kde_qbp(K, config.k), gamma
+    data, K = _load(args)
+    if not (1 <= args.k <= data.n):
+        raise InputError(f"cardinality k={args.k} out of range [1, {data.n}]")
+    gamma = args.gamma if args.gamma is not None else 2.0 * args.k / data.n
+    if args.formulation == "med":
+        D = kernel_to_distance(K)
+        return K, D, build_med_qbp(D, gamma, args.k), gamma
+    return K, None, build_kde_qbp(K, args.k), gamma
 
 
-def _provenance(config: RunConfig, config_extra: dict, **top) -> dict:
+def _provenance(args, config_extra: dict, **top) -> dict:
     """Provenance of every subcommand: the config echo plus `config_extra`, version, seed, `top`."""
     return {
         "config": {
-            "input_path": config.input_path,
-            "has_header": config.has_header,
-            "kernel": config.kernel,
-            "k": config.k,
+            "input_path": args.input,
+            "has_header": args.header,
+            "kernel": args.kernel,
+            "k": args.k,
             **config_extra,
         },
         "version": __version__,
-        "seed": config.seed,
+        "seed": args.seed,
         **top,
     }
 
 
-def _selection_scatter(K, sel: Selection) -> Optional[float]:
-    """Scatter of the selection used as a medoid set, under the complement distance."""
-    if not K.normalized or sel.size == 0:
+def _selection_scatter(K, D, sel: Selection) -> Optional[float]:
+    """Scatter of the selection used as a medoid set, under D = 1 - K (built here if not given)."""
+    if not K.normalized:
         return None
-    d = kernel_to_distance(K).entries
+    d = (D if D is not None else kernel_to_distance(K)).entries
     return float(d[:, sel.indices].min(axis=1).sum())
 
 
-def run(config: RunConfig) -> RunResult:
-    """Ingest, build the requested formulation, solve, and assemble the report."""
-    if config.solver not in ("exhaustive", "constrained", "sa"):
-        raise InputError(f"unknown solver {config.solver!r}")
-    K, qbp, gamma = prepare(config)
+def run(args) -> dict:
+    """The report of a parsed `select` command line: build, solve, and score the selection."""
+    # checked before any input is read, whichever solver runs
+    schedule = SaSchedule(sweeps=args.sweeps, restarts=args.restarts)
+    K, D, qbp, gamma = prepare(args)
 
-    lam = config.lam
-    schedule = config.sa_schedule or SaSchedule(sweeps=DEFAULT_SWEEPS)
-    if config.solver == "constrained":
+    lam = args.lam
+    if args.solver == "constrained":
         report = solve_constrained_exhaustive(qbp)
         lam = None
     else:
         if lam is None:
             lam = sufficient_penalty(qbp)
         q = qbp_to_qubo(qbp, lam)
-        if config.solver == "exhaustive":
+        if args.solver == "exhaustive":
             report = solve_exhaustive(q)
         else:
             # warm enough to melt a random start down through the +lam
             # feasibility barriers; the generic default freezes early here
             schedule = replace(schedule, t_start=max(schedule.t_start, 2.0 * lam))
-            report = solve_sa(q, schedule, config.seed)
+            report = solve_sa(q, schedule, args.seed)
 
     sel = report.best
     if sel.size == 0:
         raise InputError(
             "solver returned an empty selection; increase --sweeps/--restarts or the penalty"
         )
-    selected = [int(i) for i in sel.indices]
     provenance = _provenance(
-        config,
+        args,
         {
-            "formulation": config.formulation,
-            "gamma": gamma if config.formulation == "med" else None,
+            "formulation": args.formulation,
+            "gamma": gamma if args.formulation == "med" else None,
             "lambda": lam,
-            "solver": config.solver,
+            "solver": args.solver,
             "sa_schedule": {
                 "t_start": schedule.t_start,
                 "t_end": schedule.t_end,
                 "sweeps": schedule.sweeps,
                 "restarts": schedule.restarts,
             }
-            if config.solver == "sa"
+            if args.solver == "sa"
             else None,
-            "seed": config.seed,
+            "seed": args.seed,
         },
         solver_stats={
-            "evaluations": report.stats.evaluations,
-            "restarts": report.stats.restarts,
-            "wall_time_s": report.stats.wall_time,
+            "evaluations": report.evaluations,
+            "restarts": report.restarts,
+            "wall_time_s": report.wall_time,
         },
     )
-    return RunResult(
-        selected_indices=selected,
-        objective=report.objective,
-        feasible=(sel.size == config.k),
-        mmd_squared=mmd_squared(K, sel).mmd_squared,
-        within_scatter=_selection_scatter(K, sel),
-        provenance=provenance,
-    )
+    return {
+        "selected_indices": [int(i) for i in sel.indices],
+        "objective": report.objective,
+        "feasible": sel.size == args.k,
+        "mmd_squared": mmd_squared(K, sel).mmd_squared,
+        "within_scatter": _selection_scatter(K, D, sel),
+        "equivalence": None,
+        "provenance": provenance,
+    }
 
 
 def _emit(text: str, output_path: Optional[str]) -> None:
@@ -263,6 +235,10 @@ def _emit(text: str, output_path: Optional[str]) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+
+
+def _emit_json(doc: dict, output_path: Optional[str]) -> None:
+    _emit(json.dumps(doc, indent=2, sort_keys=True), output_path)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -306,10 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sel)
     _add_formulation(sel)
     sel.add_argument("--solver", choices=("exhaustive", "constrained", "sa"), default="constrained")
-    sel.add_argument("--sweeps", type=int, default=None,
-                     help=f"annealing sweeps per restart (default {DEFAULT_SWEEPS})")
-    sel.add_argument("--restarts", type=int, default=None,
-                     help="annealing restarts (default 8)")
+    sel.add_argument("--sweeps", type=int, default=DEFAULT_SWEEPS,
+                     help="annealing sweeps per restart (default %(default)s)")
+    sel.add_argument("--restarts", type=int, default=SaSchedule.restarts,
+                     help="annealing restarts (default %(default)s)")
 
     ver = subs.add_parser("verify", help="check the med/kde QUBO matrix identity")
     _add_common(ver)
@@ -328,59 +304,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args, **fields) -> RunConfig:
-    """The run configuration of a parsed command line; `fields` are the subcommand's own."""
-    return RunConfig(input_path=args.input, kernel=args.kernel, k=args.k, seed=args.seed,
-                     has_header=args.header, **fields)
-
-
 def _cmd_select(args) -> int:
-    schedule = None
-    if args.sweeps is not None or args.restarts is not None:
-        schedule = SaSchedule(
-            sweeps=args.sweeps if args.sweeps is not None else DEFAULT_SWEEPS,
-            restarts=args.restarts if args.restarts is not None else SaSchedule().restarts,
-        )
-    config = _config(args, formulation=args.formulation, gamma=args.gamma, lam=args.lam,
-                     solver=args.solver, sa_schedule=schedule)
-    result = run(config)
-    _emit(result.to_json(), args.output)
+    _emit_json(run(args), args.output)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    config = _config(args)
-    data = ingest_csv(config.input_path, config.has_header)
-    K = kernel_matrix(parse_kernel(config.kernel), data)
-    report = verify_equivalence(K, config.k, args.lam, args.tolerance)
+    _, K = _load(args)
+    report = verify_equivalence(K, args.k, args.lam, args.tolerance)
     doc = {
         "equivalence": asdict(report),
-        "provenance": _provenance(config, {"tolerance": args.tolerance}),
+        "provenance": _provenance(args, {"tolerance": args.tolerance}),
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True), args.output)
+    _emit_json(doc, args.output)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
 def _cmd_baseline(args) -> int:
-    data = ingest_csv(args.input, args.header)
-    if args.kernel is None:
-        distances = euclidean_distance_matrix(data)
-    else:
-        distances = kernel_to_distance(kernel_matrix(parse_kernel(args.kernel), data))
+    data, K = _load(args)
+    distances = euclidean_distance_matrix(data) if K is None else kernel_to_distance(K)
     t0 = time.perf_counter()
     assignment = lloyd_kmedoids(distances, args.k, args.seed)
     doc = {
         "medoids": [int(i) for i in assignment.medoids],
         "labels": [int(i) for i in assignment.labels],
         "scatter": assignment.scatter,
-        "provenance": _provenance(_config(args), {}, wall_time_s=time.perf_counter() - t0),
+        "provenance": _provenance(args, {}, wall_time_s=time.perf_counter() - t0),
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True), args.output)
+    _emit_json(doc, args.output)
     return EXIT_OK
 
 
 def _cmd_export(args) -> int:
-    _, qbp, _ = prepare(_config(args, formulation=args.formulation, gamma=args.gamma))
+    _, _, qbp, _ = prepare(args)
     lam = args.lam if args.lam is not None else sufficient_penalty(qbp)
     _emit(export_qubo(qbp_to_qubo(qbp, lam)), args.output)
     return EXIT_OK

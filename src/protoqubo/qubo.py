@@ -114,21 +114,19 @@ class Selection:
 
 
 @dataclass(frozen=True)
-class SolveStats:
-    evaluations: int
-    restarts: int
-    seed: int
-    wall_time: float
-
-
-@dataclass(frozen=True)
 class SolveReport:
-    """Solver output: best selection found, its objective, and run statistics."""
+    """Solver output: best selection found, its objective, and run statistics.
+
+    `evaluations` counts the states scored, `restarts` the annealing chains (0
+    for the enumerations).  Feasibility is the caller's concern: a QUBO
+    solver does not know the cardinality k its matrix was folded for.
+    """
 
     best: Selection
     objective: float
-    feasible: bool
-    stats: SolveStats
+    evaluations: int
+    restarts: int
+    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -244,11 +242,8 @@ def solve_exhaustive(q: QuboInstance) -> SolveReport:
     t0 = time.perf_counter()
     z, _ = accel.exhaustive_best(q.matrix)
     best = Selection(z)
-    objective = qubo_energy(q, best)
-    stats = SolveStats(
-        evaluations=1 << q.n, restarts=0, seed=0, wall_time=time.perf_counter() - t0
-    )
-    return SolveReport(best=best, objective=objective, feasible=True, stats=stats)
+    return SolveReport(best=best, objective=qubo_energy(q, best), evaluations=1 << q.n,
+                       restarts=0, wall_time=time.perf_counter() - t0)
 
 
 def solve_constrained_exhaustive(p: QbpInstance) -> SolveReport:
@@ -262,9 +257,8 @@ def solve_constrained_exhaustive(p: QbpInstance) -> SolveReport:
     t0 = time.perf_counter()
     idx, _ = accel.constrained_best(p.quadratic, p.linear, p.k)
     best = Selection.from_indices(p.n, idx)
-    objective = qbp_energy(p, best)
-    stats = SolveStats(evaluations=count, restarts=0, seed=0, wall_time=time.perf_counter() - t0)
-    return SolveReport(best=best, objective=objective, feasible=True, stats=stats)
+    return SolveReport(best=best, objective=qbp_energy(p, best), evaluations=count,
+                       restarts=0, wall_time=time.perf_counter() - t0)
 
 
 def sa_drift_bound(n: int, proposals: int, row_norm: float) -> float:
@@ -340,13 +334,9 @@ def solve_sa(q: QuboInstance, schedule: SaSchedule | None = None, seed: int = 0)
             f"incremental energy {best_e!r} drifted from re-evaluated {objective!r} "
             f"by more than the rounding bound {bound:.3e}"
         )
-    stats = SolveStats(
-        evaluations=sched.restarts * sched.sweeps * n,
-        restarts=sched.restarts,
-        seed=seed,
-        wall_time=time.perf_counter() - t0,
-    )
-    return SolveReport(best=best, objective=objective, feasible=True, stats=stats)
+    return SolveReport(best=best, objective=objective,
+                       evaluations=sched.restarts * sched.sweeps * n,
+                       restarts=sched.restarts, wall_time=time.perf_counter() - t0)
 
 
 def export_qubo(q: QuboInstance) -> str:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from protoqubo import InputError
-from protoqubo.cli import RunConfig, ingest_csv, main, parse_kernel, run
+from protoqubo.cli import build_parser, ingest_csv, main, parse_kernel, run
 
 TWO_POINT_CSV = f"0\n{math.sqrt(2.0)!r}\n"
 
@@ -52,6 +52,25 @@ class TestIngest:
         with pytest.raises(InputError, match="row 2, column 2"):
             ingest_csv(str(f))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_reports_location(self, tmp_path, capsys, cell):
+        data = tmp_path / "d.csv"
+        data.write_text(f"1,2\n3,{cell}\n")
+        assert main(["select", "--input", str(data), "--k", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"{data}: row 2, column 2: not a finite number: {cell!r}" in err
+        assert "dataset" not in err
+
+        kernel = tmp_path / "k.csv"
+        kernel.write_text(f"1,{cell}\n{cell},1\n")
+        points = tmp_path / "two.csv"
+        points.write_text("0\n1\n")
+        assert main(["select", "--input", str(points), "--k", "1",
+                     "--kernel", f"precomputed:{kernel}"]) == 1
+        err = capsys.readouterr().err
+        assert f"{kernel}: row 1, column 2: not a finite number: {cell!r}" in err
+        assert "dataset" not in err
+
     def test_empty_file(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("")
@@ -82,51 +101,56 @@ class TestKernelParsing:
         np.testing.assert_array_equal(spec.matrix, [[1.0, 0.5], [0.5, 1.0]])
 
 
+def select(*argv):
+    """The report `run` builds from a parsed `select` command line."""
+    return run(build_parser().parse_args(["select", *argv]))
+
+
 class TestRun:
     def test_two_point_kde_constrained(self, two_point_file):
-        result = run(RunConfig(input_path=two_point_file, kernel="rbf:2.0", k=1,
-                               formulation="kde", solver="constrained"))
-        assert result.selected_indices in ([0], [1])
-        assert result.feasible
+        result = select("--input", two_point_file, "--kernel", "rbf:2.0", "--k", "1",
+                        "--formulation", "kde", "--solver", "constrained")
+        assert result["selected_indices"] in ([0], [1])
+        assert result["feasible"]
         expected = 0.5 * (1.0 - math.exp(-1.0))
-        assert result.mmd_squared == pytest.approx(expected, rel=1e-12)
+        assert result["mmd_squared"] == pytest.approx(expected, rel=1e-12)
 
     def test_med_and_kde_agree_at_default_gamma(self, two_point_file):
-        kde = run(RunConfig(input_path=two_point_file, kernel="rbf:2.0", k=1,
-                            formulation="kde", solver="constrained"))
-        med = run(RunConfig(input_path=two_point_file, kernel="rbf:2.0", k=1,
-                            formulation="med", solver="constrained"))
-        assert kde.selected_indices == med.selected_indices
+        kde = select("--input", two_point_file, "--kernel", "rbf:2.0", "--k", "1",
+                     "--formulation", "kde", "--solver", "constrained")
+        med = select("--input", two_point_file, "--kernel", "rbf:2.0", "--k", "1",
+                     "--formulation", "med", "--solver", "constrained")
+        assert kde["selected_indices"] == med["selected_indices"]
 
     def test_select_everything_zero_mmd(self, two_point_file):
-        result = run(RunConfig(input_path=two_point_file, kernel="rbf:2.0", k=2,
-                               formulation="kde", solver="constrained"))
-        assert result.selected_indices == [0, 1]
-        assert result.mmd_squared == pytest.approx(0.0, abs=1e-12)
+        result = select("--input", two_point_file, "--kernel", "rbf:2.0", "--k", "2",
+                        "--formulation", "kde", "--solver", "constrained")
+        assert result["selected_indices"] == [0, 1]
+        assert result["mmd_squared"] == pytest.approx(0.0, abs=1e-12)
 
     def test_solver_paths_agree(self, blob_file):
-        base = dict(input_path=blob_file, kernel="rbf:2.0", k=2, formulation="kde")
-        constrained = run(RunConfig(**base, solver="constrained"))
-        exhaustive = run(RunConfig(**base, solver="exhaustive"))
-        sa = run(RunConfig(**base, solver="sa", seed=3))
-        assert exhaustive.selected_indices == constrained.selected_indices
-        assert sa.selected_indices == constrained.selected_indices
-        assert sa.feasible and exhaustive.feasible
+        base = ("--input", blob_file, "--kernel", "rbf:2.0", "--k", "2", "--formulation", "kde")
+        constrained = select(*base, "--solver", "constrained")
+        exhaustive = select(*base, "--solver", "exhaustive")
+        sa = select(*base, "--solver", "sa", "--seed", "3")
+        assert exhaustive["selected_indices"] == constrained["selected_indices"]
+        assert sa["selected_indices"] == constrained["selected_indices"]
+        assert sa["feasible"] and exhaustive["feasible"]
         # penalized objectives drop the lam * k^2 constant relative to the QBP
-        assert exhaustive.mmd_squared == pytest.approx(constrained.mmd_squared, abs=1e-12)
+        assert exhaustive["mmd_squared"] == pytest.approx(constrained["mmd_squared"], abs=1e-12)
 
     def test_gamma_only_with_med(self, two_point_file):
         with pytest.raises(InputError):
-            run(RunConfig(input_path=two_point_file, kernel="rbf:2.0", k=1,
-                          formulation="kde", gamma=1.0))
+            select("--input", two_point_file, "--kernel", "rbf:2.0", "--k", "1",
+                   "--formulation", "kde", "--gamma", "1.0")
 
     def test_precomputed_kernel_select(self, two_point_file, tmp_path):
         kfile = tmp_path / "k.csv"
         kfile.write_text("1,0.5\n0.5,1\n")
-        result = run(RunConfig(input_path=two_point_file, kernel=f"precomputed:{kfile}",
-                               k=1, formulation="med", solver="constrained"))
-        assert result.selected_indices in ([0], [1])
-        assert result.mmd_squared == pytest.approx(0.25, rel=1e-12)
+        result = select("--input", two_point_file, "--kernel", f"precomputed:{kfile}",
+                        "--k", "1", "--formulation", "med", "--solver", "constrained")
+        assert result["selected_indices"] in ([0], [1])
+        assert result["mmd_squared"] == pytest.approx(0.25, rel=1e-12)
 
     def test_objective_reevaluates_from_echoed_config(self, blob_file):
         from protoqubo import (
@@ -138,15 +162,38 @@ class TestRun:
             qubo_energy,
         )
 
-        result = run(RunConfig(input_path=blob_file, kernel="rbf:2.0", k=3,
-                               formulation="kde", solver="exhaustive"))
-        cfg = result.provenance["config"]
+        result = select("--input", blob_file, "--kernel", "rbf:2.0", "--k", "3",
+                        "--formulation", "kde", "--solver", "exhaustive")
+        cfg = result["provenance"]["config"]
         data = ingest_csv(cfg["input_path"], cfg["has_header"])
         K = kernel_matrix(parse_kernel(cfg["kernel"]), data)
         qbp = build_kde_qbp(K, cfg["k"])
         q = qbp_to_qubo(qbp, cfg["lambda"])
-        sel = Selection.from_indices(data.n, result.selected_indices)
-        assert qubo_energy(q, sel) == pytest.approx(result.objective, abs=1e-9)
+        sel = Selection.from_indices(data.n, result["selected_indices"])
+        assert qubo_energy(q, sel) == pytest.approx(result["objective"], abs=1e-9)
+
+    @pytest.mark.parametrize("argv, builds", [
+        (["select", "--formulation", "med"], 1),
+        (["select", "--formulation", "kde"], 1),
+        (["export-qubo", "--formulation", "med"], 1),
+        (["export-qubo", "--formulation", "kde"], 0),
+    ], ids=["select-med", "select-kde", "export-med", "export-kde"])
+    def test_complement_distance_is_built_at_most_once(self, blob_file, monkeypatch, capsys,
+                                                      argv, builds):
+        # the med program's D = 1 - K also gives the selection's scatter
+        import protoqubo.cli as cli
+
+        calls = []
+        original = cli.kernel_to_distance
+
+        def counted(K):
+            calls.append(K)
+            return original(K)
+
+        monkeypatch.setattr(cli, "kernel_to_distance", counted)
+        assert main([*argv, "--input", blob_file, "--k", "2"]) == 0
+        capsys.readouterr()
+        assert len(calls) == builds
 
 
 def strip_wall_time(text: str) -> str:
@@ -274,3 +321,12 @@ class TestMainEntry:
         code = main(["select", "--input", two_point_file, "--k", "5"])
         capsys.readouterr()
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["select", "verify", "baseline", "export-qubo"])
+    def test_bad_input_is_reported_before_a_bad_kernel(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,2\n3\n")
+        code = main([command, "--input", str(bad), "--k", "1", "--kernel", "bogus:1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"protoqubo: input error: {bad}: row 2 has 1 columns, expected 2\n"

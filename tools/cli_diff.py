@@ -70,6 +70,10 @@ def cases(work: Path) -> list:
     gram = _clustered(rng, 20, 4)
     gram = np.exp(-((gram[:, None, :] - gram[None, :, :]) ** 2).sum(axis=2) / 8.0)
     precomputed = _write_csv(work / "k20.csv", gram)
+    four = _clustered(rng, 4, 2)
+    doubled = 2.0 * np.exp(-((four[:, None, :] - four[None, :, :]) ** 2).sum(axis=2) / 2.0)
+    unnormalized = _write_csv(work / "k4x2.csv", doubled)
+    quad = _write_csv(work / "n4.csv", four)
     ragged = work / "ragged.csv"
     ragged.write_text("1,2\n3\n")
 
@@ -112,6 +116,23 @@ def cases(work: Path) -> list:
     out.append(["select", "--input", small, "--k", "3", "--kernel", f"precomputed:{precomputed}"])
     # the default annealing length of the command line
     out.append(["select", "--input", small, "--k", "3", "--solver", "sa", "--restarts", "1"])
+    out.append(["select", "--input", small, "--k", "3", "--solver", "sa", "--restarts", "3"])
+    out.append(["select", "--help"])
+    # which of two errors is reported: schedule before ingest, ingest before kernel,
+    # k before the normalization the med program and the scatter need
+    out.append(["select", "--input", str(ragged), "--k", "1", "--solver", "sa", "--sweeps", "0"])
+    out.append(["select", "--input", small, "--k", "3", "--solver", "constrained",
+                "--restarts", "0"])
+    for command in ("select", "export-qubo"):
+        out.append([command, "--input", small, "--k", "3", "--formulation", "kde",
+                    "--gamma", "0.7"])
+    for command in ("select", "verify", "baseline", "export-qubo"):
+        out.append([command, "--input", str(ragged), "--k", "1", "--kernel", "bogus:1"])
+    for k in ("5", "1"):
+        out.append(["select", "--input", quad, "--k", k, "--formulation", "med",
+                    "--kernel", f"precomputed:{unnormalized}"])
+    out.append(["select", "--input", quad, "--k", "2", "--kernel", f"precomputed:{unnormalized}"])
+    out.append(["baseline", "--input", quad, "--k", "2", "--kernel", f"precomputed:{unnormalized}"])
     return out
 
 
