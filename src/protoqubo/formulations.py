@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .kernels import DistanceMatrix, KernelMatrix, kernel_to_distance
+from .kernels import DistanceMatrix, KernelMatrix, _derived, kernel_to_distance
 from .qubo import QbpInstance, qbp_to_qubo
 
 
@@ -45,16 +45,16 @@ def build_med_qbp(D: DistanceMatrix, gamma: float, k: int) -> QbpInstance:
     """Constrained medoid-style program: quadratic -D, linear gamma * (row sums of D)."""
     if not (np.isfinite(gamma) and gamma > 0):
         raise InputError(f"gamma must be positive, got {gamma}")
-    return QbpInstance(-D.entries, gamma * D.entries.sum(axis=1), k)
+    return _derived(QbpInstance, -D.entries, gamma * D.entries.sum(axis=1), k)
 
 
 def build_kde_qbp(K: KernelMatrix, k: int) -> QbpInstance:
     """Constrained density-matching program: quadratic K, linear -(2k/n) * (row sums of K).
 
     On feasible points the objective is k^2 times the squared MMD minus the
-    constant (k/n)^2 * (grand sum of K).
+    constant (k/n)^2 * (grand sum of K).  The quadratic part shares K's entries.
     """
-    return QbpInstance(K.entries, -(2.0 * k / K.n) * K.entries.sum(axis=1), k)
+    return _derived(QbpInstance, K.entries, -(2.0 * k / K.n) * K.entries.sum(axis=1), k)
 
 
 def kde_equivalent_med_params(k: int, n: int, med_lambda: float) -> tuple[float, float]:

@@ -12,6 +12,13 @@ complement distance is exactly Welsch's M-estimator ``1 - exp(-||x - y||^2 / 2)`
 Every kernel and distance value comes from one scipy ``cdist`` call with the
 kernel's metric, so `eval_kernel`, the densities and `kernel_matrix` return
 the same doubles for the same pair of points.
+
+Matrices are validated once, where they enter the package: the public
+constructors of the matrix types here and in `qubo` copy, check, and mirror
+the upper triangle onto the lower, so a lower entry may move by at most
+``SYMMETRY_TOL``.  What the package derives from a validated matrix (``1 - K``,
+``-D``, ``A + lam``) is then exactly symmetric by construction, so it is
+wrapped by `_derived` without a second n^2 copy and check.
 """
 
 from __future__ import annotations
@@ -31,12 +38,13 @@ _TILE = 256
 
 
 def _symmetric_matrix(entries, name: str) -> np.ndarray:
-    """Check that a matrix is square, non-empty, finite and symmetric; return a read-only copy.
+    """Check that a matrix is square, non-empty, finite and symmetric; return a fresh copy.
 
     The one validator of every n-by-n matrix type in the package.  Symmetry is
     checked tile by tile against the mirrored tile, which reads the transpose
     in cache-sized blocks with tile-sized temporaries; the max skew is the
-    same as that of ``|M - M^T|``.
+    same as that of ``|M - M^T|``.  A tile with nonzero skew then takes the
+    upper entries of its mirror, so the copy is exactly symmetric.
     """
     m = np.array(entries, dtype=np.float64, order="C")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -50,11 +58,25 @@ def _symmetric_matrix(entries, name: str) -> np.ndarray:
     for i in range(0, n, _TILE):
         for j in range(i, n, _TILE):
             upper = m[i:i + _TILE, j:j + _TILE]
-            skew = max(skew, float(np.abs(upper - m[j:j + _TILE, i:i + _TILE].T).max()))
+            lower = m[j:j + _TILE, i:i + _TILE]
+            tile_skew = float(np.abs(upper - lower.T).max())
+            if tile_skew > 0.0:
+                if i == j:
+                    below = np.tril_indices(upper.shape[0], -1)
+                    upper[below] = upper.T[below]
+                else:
+                    lower[...] = upper.T
+            skew = max(skew, tile_skew)
     if skew > SYMMETRY_TOL:
         raise InputError(f"{name} is not symmetric (max |M - M^T| = {skew:.3e})")
-    m.setflags(write=False)
     return m
+
+
+def _derived(cls, *fields):
+    """Wrap arrays derived from validated ones: run ``_finish``, not the validating ``__post_init__``."""
+    obj = object.__new__(cls)
+    obj._finish(*fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -117,7 +139,9 @@ class PrecomputedKernel:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _symmetric_matrix(self.matrix, "precomputed kernel"))
+        m = _symmetric_matrix(self.matrix, "precomputed kernel")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
 
 KernelSpec = Union[RbfKernel, LaplacianKernel, PrecomputedKernel]
@@ -134,7 +158,10 @@ class KernelMatrix:
     normalized: bool = field(init=False)
 
     def __post_init__(self):
-        m = _symmetric_matrix(self.entries, "kernel matrix")
+        self._finish(_symmetric_matrix(self.entries, "kernel matrix"))
+
+    def _finish(self, m: np.ndarray) -> None:
+        m.setflags(write=False)
         object.__setattr__(self, "entries", m)
         normalized = bool(np.abs(np.diag(m) - 1.0).max() <= DIAGONAL_TOL)
         object.__setattr__(self, "normalized", normalized)
@@ -154,14 +181,15 @@ class DistanceMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _symmetric_matrix(self.entries, "distance matrix")
+        self._finish(_symmetric_matrix(self.entries, "distance matrix"))
+
+    def _finish(self, m: np.ndarray) -> None:
         diag_err = np.abs(np.diag(m)).max()
         if diag_err > DIAGONAL_TOL:
             raise InputError(f"distance matrix diagonal is not zero (max |D_ii| = {diag_err:.3e})")
         low = m.min()
         if low < NEGATIVE_CLAMP:
             raise InputError(f"distance matrix has negative entry {low:.3e}")
-        m.setflags(write=True)  # the validator's copy is ours to clamp
         np.fill_diagonal(m, 0.0)
         m[m < 0.0] = 0.0
         m.setflags(write=False)
@@ -212,7 +240,7 @@ def kernel_matrix(spec: KernelSpec, data: Dataset) -> KernelMatrix:
     ``eval_kernel(spec, x_i, x_j)`` returns.  The matrix is exactly symmetric
     because each metric is symmetric in IEEE arithmetic (``(a - b)**2`` and
     ``|a - b|`` do not depend on the order of a and b).  A precomputed matrix
-    is passed through after validation against the dataset size.
+    is shared after a check against the dataset size.
     """
     if isinstance(spec, PrecomputedKernel):
         if spec.matrix.shape[0] != data.n:
@@ -220,7 +248,7 @@ def kernel_matrix(spec: KernelSpec, data: Dataset) -> KernelMatrix:
                 f"precomputed kernel is {spec.matrix.shape[0]}x{spec.matrix.shape[0]} "
                 f"but the dataset has n={data.n}"
             )
-        return KernelMatrix(spec.matrix)
+        return _derived(KernelMatrix, spec.matrix)
     return KernelMatrix(_kernel_values(spec, data.points, data.points))
 
 
@@ -235,7 +263,7 @@ def kernel_to_distance(K: KernelMatrix) -> DistanceMatrix:
         raise PreconditionError(
             f"kernel is not normalized: diagonal entry {bad} is {float(K.entries[bad, bad])}"
         )
-    return DistanceMatrix(1.0 - K.entries)
+    return _derived(DistanceMatrix, 1.0 - K.entries)
 
 
 def euclidean_distance_matrix(data: Dataset) -> DistanceMatrix:

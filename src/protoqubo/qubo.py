@@ -4,9 +4,12 @@ A `QuboInstance` is an unconstrained quadratic form z^T Q z over binary z.
 A `QbpInstance` adds a linear term and an explicit cardinality constraint
 ``1^T z = k``.  Folding the constraint into the objective with a quadratic
 penalty turns a QBP into a QUBO; `sufficient_penalty` gives a weight large
-enough that the penalized minimizer is always feasible.  Both instance types
-store read-only copies checked by the same validator as the kernel and
-distance matrices (square, finite, symmetric to 1e-12).
+enough that the penalized minimizer is always feasible.  The public
+constructors of both instance types store read-only copies checked by the
+same validator as the kernel and distance matrices (square, finite, symmetric
+to 1e-12, upper triangle mirrored onto the lower).  The instances the package
+builds from validated matrices are exactly symmetric by construction and are
+not checked again.
 
 Solvers: exhaustive enumeration (ground truth, hard-capped), enumeration of
 the feasible k-subsets, and single-bit-flip Metropolis simulated annealing.
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import accel
 from .errors import CapacityError, InputError, NumericalIntegrityError
-from .kernels import _symmetric_matrix
+from .kernels import _derived, _symmetric_matrix
 
 EXHAUSTIVE_MAX_VARS = 24
 CONSTRAINED_MAX_SUBSETS = 5_000_000
@@ -37,7 +40,11 @@ class QuboInstance:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _symmetric_matrix(self.matrix, "QUBO matrix"))
+        self._finish(_symmetric_matrix(self.matrix, "QUBO matrix"))
+
+    def _finish(self, m: np.ndarray) -> None:
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
     @property
     def n(self) -> int:
@@ -53,8 +60,10 @@ class QbpInstance:
     k: int
 
     def __post_init__(self):
-        a = _symmetric_matrix(self.quadratic, "quadratic part")
-        b = np.asarray(self.linear, dtype=np.float64).reshape(-1).copy()
+        self._finish(_symmetric_matrix(self.quadratic, "quadratic part"), self.linear, self.k)
+
+    def _finish(self, a: np.ndarray, linear, k: int) -> None:
+        b = np.asarray(linear, dtype=np.float64).reshape(-1).copy()
         if b.shape[0] != a.shape[0]:
             raise InputError(
                 f"linear part has length {b.shape[0]} but quadratic part is "
@@ -62,12 +71,13 @@ class QbpInstance:
             )
         if not np.all(np.isfinite(b)):
             raise InputError("linear part contains non-finite entries")
-        if not (1 <= int(self.k) <= a.shape[0]):
-            raise InputError(f"cardinality k={self.k} out of range [1, {a.shape[0]}]")
+        if not (1 <= int(k) <= a.shape[0]):
+            raise InputError(f"cardinality k={k} out of range [1, {a.shape[0]}]")
+        a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "quadratic", a)
         object.__setattr__(self, "linear", b)
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", int(k))
 
     @property
     def n(self) -> int:
@@ -209,13 +219,18 @@ def qbp_to_qubo(p: QbpInstance, lam: float) -> QuboInstance:
     The result satisfies, for every binary z,
     ``z^T Q z = z^T A z + b^T z + lam * ((1^T z - k)^2 - k^2)``:
     the penalized objective up to the constant ``lam * k^2``, which is dropped.
+    Q is exactly symmetric because A is.  Rounding is monotone, so
+    ``max(A) + lam`` bounds every entry of ``A + lam``: it and the diagonal
+    are all the finiteness check reads.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise InputError(f"penalty weight must be positive, got {lam}")
+    diag = penalized_diagonal(p.quadratic.diagonal(), p.linear, lam, p.k)
+    if not (np.isfinite(p.quadratic.max() + lam) and np.all(np.isfinite(diag))):
+        raise InputError("QUBO matrix contains non-finite entries")
     q = p.quadratic + lam
-    idx = np.diag_indices(p.n)
-    q[idx] = penalized_diagonal(p.quadratic.diagonal(), p.linear, lam, p.k)
-    return QuboInstance(q)
+    q[np.diag_indices(p.n)] = diag
+    return _derived(QuboInstance, q)
 
 
 def sufficient_penalty(p: QbpInstance) -> float:
@@ -344,14 +359,20 @@ def export_qubo(q: QuboInstance) -> str:
 
     Header line ``n nnz``, then one ``i j value`` line per nonzero with
     ``i <= j``; off-diagonal values are doubled so that reading the file as an
-    upper-triangular objective reproduces z^T Q z.
+    upper-triangular objective reproduces z^T Q z.  Rows are doubled and
+    filtered in numpy; doubling is exact, so the bytes are those of a loop
+    writing ``repr(float(2.0 * Q[i, j]))`` entry by entry.
     """
-    lines = []
     m = q.matrix
+    chunks = [""]  # slot 0 takes the header once nnz is known
+    nnz = 0
     for i in range(q.n):
-        if m[i, i] != 0.0:
-            lines.append(f"{i} {i} {float(m[i, i])!r}")
-        for j in range(i + 1, q.n):
-            if m[i, j] != 0.0:
-                lines.append(f"{i} {j} {float(2.0 * m[i, j])!r}")
-    return "\n".join([f"{q.n} {len(lines)}"] + lines) + "\n"
+        row = 2.0 * m[i, i:]
+        row[0] = m[i, i]
+        cols = np.flatnonzero(row)
+        nnz += cols.size
+        prefix = f"{i} "
+        chunks.append("".join([f"{prefix}{j} {v!r}\n"
+                               for j, v in zip((cols + i).tolist(), row[cols].tolist())]))
+    chunks[0] = f"{q.n} {nnz}\n"
+    return "".join(chunks)

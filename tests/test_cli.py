@@ -196,6 +196,96 @@ class TestRun:
         assert len(calls) == builds
 
 
+@pytest.fixture
+def validations(monkeypatch):
+    """Calls of the one matrix validator, counted in every module that holds it."""
+    import protoqubo.kernels as kernels
+    import protoqubo.qubo as qubo
+
+    names = []
+    original = kernels._symmetric_matrix
+
+    def counted(entries, name):
+        names.append(name)
+        return original(entries, name)
+
+    for module in (kernels, qubo):
+        monkeypatch.setattr(module, "_symmetric_matrix", counted)
+    return names
+
+
+def noisy_gram_files(tmp_path, n, seed):
+    """Points and an RBF Gram matrix of them with seeded noise of +-2e-13 (within the
+    symmetry tolerance) as a precomputed kernel file; returns (points path, kernel spec)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 3))
+    gram = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2) / 2.0)
+    gram += rng.uniform(-2e-13, 2e-13, size=gram.shape)
+    points, kernel = tmp_path / "x.csv", tmp_path / "k.csv"
+    np.savetxt(points, x, delimiter=",", fmt="%.17g")
+    np.savetxt(kernel, gram, delimiter=",", fmt="%.17g")
+    return str(points), f"precomputed:{kernel}"
+
+
+class TestValidateOnce:
+    @pytest.mark.parametrize("argv", [
+        ["select", "--formulation", "med"],
+        ["select", "--formulation", "kde"],
+        ["select", "--formulation", "kde", "--solver", "sa", "--sweeps", "5", "--restarts", "1"],
+        ["export-qubo", "--formulation", "med"],
+        ["export-qubo", "--formulation", "kde"],
+        ["verify"],
+        ["baseline"],
+    ], ids=["select-med", "select-kde", "select-sa", "export-med", "export-kde", "verify",
+            "baseline"])
+    @pytest.mark.parametrize("kernel", ["rbf", "precomputed"])
+    def test_one_validation_per_matrix_read(self, tmp_path, capsys, validations, argv, kernel):
+        # the kernel (or, for a kernel-less baseline, the distance matrix) is
+        # the one matrix that enters from outside; everything derived from it
+        # is exactly symmetric by construction and is not checked again
+        points, spec = noisy_gram_files(tmp_path, 12, 0)
+        if kernel == "rbf":
+            spec = "rbf:2.0"
+        assert main([*argv, "--input", points, "--kernel", spec, "--k", "2"]) == 0
+        capsys.readouterr()
+        assert len(validations) == 1, validations
+
+    def test_kernel_less_baseline_validates_its_distance_matrix(self, blob_file, capsys,
+                                                                 validations):
+        assert main(["baseline", "--input", blob_file, "--k", "2"]) == 0
+        capsys.readouterr()
+        assert validations == ["distance matrix"]
+
+    def test_kernel_symmetric_within_tolerance_folds_to_a_symmetric_qubo(
+            self, tmp_path, capsys, monkeypatch):
+        # with lam >= 8192, fl(a + lam) and fl(b + lam) for |a - b| ~ 1e-13 can
+        # land one ulp (1.8e-12) apart: the fold must start from an exactly
+        # symmetric kernel, not re-check a matrix that is only nearly so
+        import protoqubo.cli as cli
+
+        points, spec = noisy_gram_files(tmp_path, 200, 5)
+        folded = []
+        original = cli.qbp_to_qubo
+
+        def kept(p, lam):
+            folded.append(original(p, lam))
+            return folded[-1]
+
+        monkeypatch.setattr(cli, "qbp_to_qubo", kept)
+        out = tmp_path / "q.txt"
+        common = ["--input", points, "--kernel", spec, "--k", "3"]
+        assert main(["select", *common, "--solver", "sa", "--sweeps", "5",
+                     "--restarts", "1"]) == 0
+        assert main(["export-qubo", *common, "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert len(folded) == 2
+        for q in folded:
+            assert q.matrix[0, 0] < -8192.0  # the regime where one ulp exceeds 1e-12
+            assert np.array_equal(q.matrix, q.matrix.T)
+        lines = out.read_text().splitlines()
+        assert lines[0] == f"200 {len(lines) - 1}"
+
+
 def strip_wall_time(text: str) -> str:
     return re.sub(r'^\s*"wall_time_s": [^,\n]+,?\n', "", text, flags=re.M)
 

@@ -26,9 +26,9 @@ def test_changed_export_format_is_reported(tmp_path):
     shutil.copytree(SRC, mutated, ignore=shutil.ignore_patterns("__pycache__"))
     qubo = mutated / "protoqubo" / "qubo.py"
     text = qubo.read_text()
-    header = 'f"{q.n} {len(lines)}"'
+    header = 'f"{q.n} {nnz}\\n"'
     assert text.count(header) == 1
-    qubo.write_text(text.replace(header, 'f"{q.n}  {len(lines)}"'))
+    qubo.write_text(text.replace(header, 'f"{q.n}  {nnz}\\n"'))
     done = cli_diff(SRC, mutated)
     assert done.returncode == 1, done.stdout + done.stderr
     assert "export-qubo" in done.stdout and "stdout differs" in done.stdout

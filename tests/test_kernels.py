@@ -17,9 +17,13 @@ from protoqubo import (
     euclidean_distance_matrix,
     eval_kernel,
     kde_density,
+    build_kde_qbp,
+    build_med_qbp,
     kernel_matrix,
     kernel_to_distance,
+    qbp_to_qubo,
 )
+from protoqubo.kernels import SYMMETRY_TOL
 
 
 def test_eval_rbf_same_point_is_one():
@@ -190,6 +194,69 @@ def test_symmetry_check_across_tile_boundaries(n):
                 make(m)
             m[i, j] = base[i, j] + 1e-13
             make(m)
+
+
+def stored(instance):
+    """The n-by-n array held by an instance of one of the matrix types."""
+    return next(v for v in vars(instance).values() if isinstance(v, np.ndarray) and v.ndim == 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+def test_validator_mirrors_the_upper_triangle(n):
+    # within tolerance, every type keeps the upper triangle and copies it
+    # onto the lower one, so the stored matrix is exactly symmetric
+    base = symmetric_zero_diagonal(n)
+    noisy = base + np.random.default_rng(n).uniform(-4e-13, 4e-13, size=(n, n))
+    np.fill_diagonal(noisy, 0.0)
+    upper = np.triu_indices(n)
+    for name, make in MATRIX_TYPES.items():
+        m = stored(make(noisy.copy()))
+        np.testing.assert_array_equal(m, m.T, err_msg=name)
+        if name != "distance matrix":  # which also clamps and zeroes the diagonal
+            np.testing.assert_array_equal(m[upper], noisy[upper], err_msg=name)
+        assert np.abs(m - noisy).max() <= SYMMETRY_TOL
+        assert not m.flags.writeable
+        # an exactly symmetric input is stored as it is
+        np.testing.assert_array_equal(stored(make(base)), base)
+
+
+def test_public_constructors_copy_their_input():
+    a = np.array([[1.0, 0.5], [0.5, 1.0]])
+    instances = {
+        "kernel": (PrecomputedKernel(a), "matrix"),
+        "kernel matrix": (KernelMatrix(a), "entries"),
+        "program": (QbpInstance(a, np.ones(2), 1), "quadratic"),
+        "QUBO": (QuboInstance(a), "matrix"),
+    }
+    before = a.copy()
+    a[0, 1] = a[1, 0] = 7.0
+    for name, (instance, attr) in instances.items():
+        np.testing.assert_array_equal(getattr(instance, attr), before, err_msg=name)
+    b = np.ones(2)
+    p = QbpInstance(before, b, 1)
+    b[0] = 3.0
+    np.testing.assert_array_equal(p.linear, np.ones(2))
+
+
+def test_derived_matrices_are_read_only_and_exactly_symmetric():
+    # a precomputed kernel that is symmetric only to within the tolerance
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=(40, 2))
+    gram = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2) / 2.0)
+    gram += rng.uniform(-2e-13, 2e-13, size=gram.shape)
+    np.fill_diagonal(gram, 1.0)
+    K = kernel_matrix(PrecomputedKernel(gram), Dataset(x))
+    D = kernel_to_distance(K)
+    med, kde = build_med_qbp(D, 0.1, 3), build_kde_qbp(K, 3)
+    assert kde.quadratic is K.entries
+    derived = {"K": K.entries, "D": D.entries, "-D": med.quadratic, "K part": kde.quadratic,
+               "med QUBO": qbp_to_qubo(med, 3e4).matrix,
+               "kde QUBO": qbp_to_qubo(kde, 3e4 - 1.0).matrix}
+    for name, m in derived.items():
+        assert not m.flags.writeable, name
+        assert np.array_equal(m, m.T), name
+    for v in (med.linear, kde.linear):
+        assert not v.flags.writeable
 
 
 def test_distance_matrix_clamps_in_the_last_tile():

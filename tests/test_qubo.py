@@ -312,3 +312,51 @@ class TestExport:
         text = export_qubo(q)
         assert text.splitlines()[0] == "3 2"
         assert "1 1" not in text
+
+
+def export_qubo_reference(q):
+    """The interpreted double loop the vectorized export must match byte for byte."""
+    lines = []
+    m = q.matrix
+    for i in range(q.n):
+        if m[i, i] != 0.0:
+            lines.append(f"{i} {i} {float(m[i, i])!r}")
+        for j in range(i + 1, q.n):
+            if m[i, j] != 0.0:
+                lines.append(f"{i} {j} {float(2.0 * m[i, j])!r}")
+    return "\n".join([f"{q.n} {len(lines)}"] + lines) + "\n"
+
+
+def sparse_symmetric(rng, n, values):
+    # about a third of the entries zero, on and off the diagonal
+    a = np.triu(values * (rng.random((n, n)) < 0.65))
+    return a + np.triu(a, 1).T
+
+
+class TestExportBytes:
+    @pytest.mark.parametrize("n", [1, 2, 37, 300])
+    def test_matches_the_double_loop(self, n):
+        rng = np.random.default_rng(n)
+        magnitudes = 10.0 ** rng.integers(-8, 9, size=(n, n))
+        matrices = {
+            "random floats": sparse_symmetric(rng, n, rng.normal(size=(n, n)) * magnitudes),
+            "integers": sparse_symmetric(rng, n, rng.integers(-5, 6, size=(n, n)).astype(float)),
+            "zero diagonal": random_symmetric(rng, n) * (1.0 - np.eye(n)),
+            "negative": -np.abs(random_symmetric(rng, n)),
+            "all zero": np.zeros((n, n)),
+        }
+        for name, m in matrices.items():
+            q = QuboInstance(m)
+            assert export_qubo(q) == export_qubo_reference(q), name
+
+    @pytest.mark.parametrize("n", [37, 300])
+    def test_matches_the_double_loop_on_a_penalized_kde_qubo(self, n):
+        from protoqubo import Dataset, RbfKernel, build_kde_qbp, kernel_matrix
+
+        points = np.random.default_rng(n).normal(size=(n, 3))
+        p = build_kde_qbp(kernel_matrix(RbfKernel(2.0), Dataset(points)), 3)
+        q = qbp_to_qubo(p, sufficient_penalty(p))
+        assert export_qubo(q) == export_qubo_reference(q)
+
+    def test_empty_export_has_only_the_header(self):
+        assert export_qubo(QuboInstance(np.zeros((3, 3)))) == "3 0\n"

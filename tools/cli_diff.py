@@ -76,6 +76,14 @@ def cases(work: Path) -> list:
     quad = _write_csv(work / "n4.csv", four)
     ragged = work / "ragged.csv"
     ragged.write_text("1,2\n3\n")
+    # drawn after every other input, so adding it kept their values: a kernel
+    # symmetric only to within the 1e-12 tolerance, at a penalty (>= 8192) where
+    # folding its two triangles separately would land them one ulp apart
+    near = rng.normal(size=(200, 3))
+    gram = np.exp(-((near[:, None, :] - near[None, :, :]) ** 2).sum(axis=2) / 2.0)
+    near_kernel = _write_csv(work / "k200.csv",
+                             gram + rng.uniform(-2e-13, 2e-13, size=gram.shape))
+    near = _write_csv(work / "n200.csv", near)
 
     out = []
     for kernel in ("rbf:2.0", "laplacian:1.5"):
@@ -133,6 +141,13 @@ def cases(work: Path) -> list:
                     "--kernel", f"precomputed:{unnormalized}"])
     out.append(["select", "--input", quad, "--k", "2", "--kernel", f"precomputed:{unnormalized}"])
     out.append(["baseline", "--input", quad, "--k", "2", "--kernel", f"precomputed:{unnormalized}"])
+    # whole exports of about 245k lines each
+    for form in ("med", "kde"):
+        out.append(["export-qubo", "--input", large, "--k", "5", "--formulation", form])
+    near_args = ["--input", near, "--k", "3", "--kernel", f"precomputed:{near_kernel}"]
+    out.append(["select", *near_args, "--solver", "sa", "--sweeps", "5", "--restarts", "1"])
+    out.append(["export-qubo", *near_args])
+    out.append(["verify", *near_args])
     return out
 
 
