@@ -50,9 +50,9 @@ def kde_density_subset(spec: KernelSpec, data: Dataset, sel: Selection, x) -> fl
 def mmd_squared(K: KernelMatrix, sel: Selection) -> MmdReport:
     """Squared MMD of a selection, computed purely from kernel matrix sums.
 
-    Tiny negative results from floating-point cancellation (>= -1e-12) are
-    clamped to zero; anything more negative indicates a kernel matrix that is
-    not positive semidefinite and raises `NumericalIntegrityError`.
+    Tiny negative results of cancellation (>= -1e-12) are clamped to zero.  A
+    more negative one means a kernel that is not positive semidefinite and raises
+    `NumericalIntegrityError`; kernel sums that overflow raise `InputError`.
     """
     if sel.n != K.n:
         raise InputError(f"selection has length {sel.n}, kernel matrix has n={K.n}")
@@ -61,11 +61,14 @@ def mmd_squared(K: KernelMatrix, sel: Selection) -> MmdReport:
         raise InputError("selection is empty")
     n = K.n
     z = sel.indicator.astype(np.float64)
-    kz = K.entries @ z
-    term_ww = float(z @ kz) / k**2
-    term_wd = 2.0 * float(kz.sum()) / (k * n)
-    term_dd = float(K.entries.sum()) / n**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        kz = K.entries @ z
+        term_ww = float(z @ kz) / k**2
+        term_wd = 2.0 * float(kz.sum()) / (k * n)
+        term_dd = float(K.entries.sum()) / n**2
     raw = term_ww - term_wd + term_dd
+    if not np.isfinite(raw):
+        raise InputError(f"squared MMD is not finite ({raw}): the kernel sums overflow")
     if raw < MMD_CLAMP:
         raise NumericalIntegrityError(
             f"squared MMD evaluated to {raw:.3e}; kernel matrix is not PSD"

@@ -87,8 +87,10 @@ def verify_equivalence(
         raise InputError(f"tolerance must be nonnegative, got {tolerance}")
     gamma, kde_lambda = kde_equivalent_med_params(k, K.n, med_lambda)
     q_med = qbp_to_qubo(build_med_qbp(D, gamma, k), med_lambda)
+    del D  # at most three n x n arrays besides K are alive at once
     q_kde = qbp_to_qubo(build_kde_qbp(K, k), kde_lambda)
-    diff = float(np.abs(q_med.matrix - q_kde.matrix).max())
+    gap = q_med.matrix - q_kde.matrix
+    diff = float(np.abs(gap, out=gap).max())
     return EquivalenceReport(
         max_abs_diff=diff,
         gamma_used=gamma,

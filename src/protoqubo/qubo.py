@@ -182,34 +182,22 @@ def qbp_energy(p: QbpInstance, sel: Selection) -> float:
     return float(z @ p.quadratic @ z + p.linear @ z)
 
 
-_SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
-
-
-def _product_err(a: float, b: float, p: float) -> float:
-    # Rounding error of p = fl(a * b), via Dekker's two-product.
-    ah = _SPLITTER * a
-    ah = ah - (ah - a)
-    al = a - ah
-    bh = _SPLITTER * b
-    bh = bh - (bh - b)
-    bl = b - bh
-    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
 def penalized_diagonal(a_diag: np.ndarray, b: np.ndarray, lam: float, k: int) -> np.ndarray:
     """Diagonal of the penalty fold, ``A_ii + lam + b_i - 2*lam*k``, correctly rounded.
 
     The dominant term 2*lam*k can sit three binades above the result, so a
-    naive left-to-right sum loses up to one ulp of it.  Splitting the product
-    exactly and summing with fsum returns the nearest double of the true value,
-    which keeps independently built but algebraically equal QUBO matrices
-    bit-identical on the diagonal.
+    naive left-to-right sum loses up to one ulp of it.  fsum of exact addends,
+    with ``-2*lam * 2**s`` for each set bit s of k, rounds correctly (Shewchuk,
+    1997), so equal folds built independently agree bitwise.  An entry is not
+    finite where an addend or a partial sum overflows, even if its exact value is.
     """
-    p = (2.0 * lam) * k
-    e = _product_err(2.0 * lam, float(k), p)
+    tail = [-(2.0 * lam) * (1 << s) for s in range(k.bit_length()) if k >> s & 1]
     out = np.empty_like(b)
     for i in range(b.shape[0]):
-        out[i] = math.fsum((a_diag[i], lam, b[i], -p, -e))
+        try:
+            out[i] = math.fsum((a_diag[i], lam, b[i], *tail))
+        except OverflowError:
+            out[i] = math.inf
     return out
 
 
@@ -220,13 +208,13 @@ def qbp_to_qubo(p: QbpInstance, lam: float) -> QuboInstance:
     ``z^T Q z = z^T A z + b^T z + lam * ((1^T z - k)^2 - k^2)``:
     the penalized objective up to the constant ``lam * k^2``, which is dropped.
     Q is exactly symmetric because A is.  Rounding is monotone, so
-    ``max(A) + lam`` bounds every entry of ``A + lam``: it and the diagonal
-    are all the finiteness check reads.
+    ``max(A) + lam`` (in Python floats, which overflow silently) bounds every
+    entry of ``A + lam``: it and the diagonal are all the finiteness check reads.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise InputError(f"penalty weight must be positive, got {lam}")
     diag = penalized_diagonal(p.quadratic.diagonal(), p.linear, lam, p.k)
-    if not (np.isfinite(p.quadratic.max() + lam) and np.all(np.isfinite(diag))):
+    if not (math.isfinite(float(p.quadratic.max()) + float(lam)) and np.all(np.isfinite(diag))):
         raise InputError("QUBO matrix contains non-finite entries")
     q = p.quadratic + lam
     q[np.diag_indices(p.n)] = diag
@@ -239,9 +227,14 @@ def sufficient_penalty(p: QbpInstance) -> float:
     Returns ``1 + sum|A_ij| + sum|b_i|``.  Any single bit flip away from the
     feasible set raises the penalty term by at least this weight while the
     unpenalized objective can change by at most the weight minus one, so no
-    infeasible point can beat a feasible one.
+    infeasible point can beat a feasible one.  A bound that overflows raises `InputError`.
     """
-    return float(1.0 + np.abs(p.quadratic).sum() + np.abs(p.linear).sum())
+    with np.errstate(over="ignore"):
+        lam = float(1.0 + np.abs(p.quadratic).sum() + np.abs(p.linear).sum())
+    if not math.isfinite(lam):
+        raise InputError("the sufficient penalty 1 + sum|A_ij| + sum|b_i| overflows; "
+                         "give the penalty weight explicitly")
+    return lam
 
 
 def solve_exhaustive(q: QuboInstance) -> SolveReport:

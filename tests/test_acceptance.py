@@ -109,6 +109,65 @@ def test_criterion_3_penalty_exactness():
     assert ok
 
 
+def flip_rounding_bound(n, lam, row_abs):
+    """Bound on how far a computed single-flip change of z^T Q z can sit above -1.
+
+    ``Q`` folds a program (A, b, k) at ``lam = fl(1 + S)``, S = sum|A_ij| + sum|b_i|,
+    and ``row_abs`` holds the computed ``R_i = sum_j |Q_ij|``; ``u = 2**-53``
+    and ``g(m) = m*u / (1 - m*u)``.  Proof step of `sufficient_penalty`: for z
+    with |z| = m != k, flipping a bit i toward k (adding one when m < k,
+    removing one when m > k) changes the penalty ``lam*((m - k)**2 - k**2)`` by
+    ``lam*(1 - 2|m - k|) <= -lam`` and the objective z^T A z + b^T z by at most
+    ``S_i = |A_ii| + 2*sum_{j != i}|A_ij| + |b_i| <= S``, so its exact change
+    is at most ``S - lam``.  numpy sums the n*n + n + 2 terms of lam, so
+    ``lam >= (1 + S)*(1 - g(n*n + n + 2))`` and the exact change is at most
+    ``-1 + g'*lam`` with ``g' = g(n*n + n + 2) / (1 - g(n*n + n + 2))``: the
+    exact margin is at least 1 up to that rounding of lam.
+
+    The test computes the change as ``Q_ii + 2*h_i`` (adding) or
+    ``Q_ii - 2*h_i`` (removing), with ``h = Q z`` from a matrix product.
+    Each stored entry is the correctly rounded A_ij + lam (or fold diagonal),
+    off by at most u|Q_ij|, and the change weighs them by at most 2R_i in
+    total: ``2u*R_i``.  The product h_i, a sum of at most n of row i's
+    entries, is off by at most ``g(n)*R_i``, doubled: ``2g(n)*R_i``.  The final
+    addition rounds a value of size at most ``(3 + 2g(n))*R_i``.  In all, the
+    computed change is within ``(2g(n + 1) + g(5))*R_i`` of the exact one, and
+    the computed R_i is at least ``(1 - g(n))`` times the exact one.
+    So every computed change toward k is at most
+    ``-1 + g'*lam + (2g(n + 1) + g(5))*R_i / (1 - g(n))``.
+    """
+    g_lam = _gamma(n * n + n + 2) / (1.0 - _gamma(n * n + n + 2))
+    return -1.0 + g_lam * lam + (2.0 * _gamma(n + 1) + _gamma(5)) * row_abs / (1.0 - _gamma(n))
+
+
+def test_criterion_3_at_n_3000():
+    # the proof step of the sufficient penalty on a 3000-point kde program: from
+    # seeded infeasible z, every single flip toward k lowers z^T Q z by about 1 or more
+    rng = np.random.default_rng(303)
+    n, d, k = 3000, 8, 10
+    centres = rng.normal(scale=3.0, size=(6, d))
+    data = pq.Dataset(centres[rng.integers(0, 6, size=n)] + rng.normal(size=(n, d)))
+    p = pq.build_kde_qbp(pq.kernel_matrix(pq.RbfKernel(2.0 * d), data), k)
+    lam = pq.sufficient_penalty(p)
+    Q = pq.qbp_to_qubo(p, lam).matrix
+    sizes = [0, k - 1, k + 1, n]
+    while len(sizes) < 20:
+        m = int(rng.integers(0, n + 1))
+        sizes += [m] if m != k else []
+    Z = np.zeros((n, len(sizes)))
+    for col, m in enumerate(sizes):
+        Z[rng.choice(n, size=m, replace=False), col] = 1.0
+    H = Q @ Z
+    change = Q.diagonal()[:, None] + 2.0 * np.where(Z == 0.0, H, -H)
+    toward_k = np.where(Z.sum(axis=0) < k, Z == 0.0, Z == 1.0)
+    ceiling = flip_rounding_bound(n, lam, np.abs(Q).sum(axis=1))[:, None]
+    ok = bool(np.all((change <= ceiling) | ~toward_k)) and ceiling.max() < 0.0
+    worst = max(float(change[:, c][toward_k[:, c]].min()) for c in range(len(sizes)))
+    report(3, "every flip toward k lowers the penalized objective at n=3000", ok,
+           f"lambda={lam:.3e}, worst best flip={worst:.3e}, ceiling <= {ceiling.max():.3f}")
+    assert ok
+
+
 def test_criterion_4_scaled_mmd_matches_program_energy():
     rng = np.random.default_rng(204)
     worst = 0.0

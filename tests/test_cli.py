@@ -420,3 +420,24 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert code == 1
         assert err == f"protoqubo: input error: {bad}: row 2 has 1 columns, expected 2\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, message", [
+        (["export-qubo", "--lambda", "1e308"], "QUBO matrix contains non-finite entries\n"),
+        (["export-qubo"], "the sufficient penalty 1 + sum|A_ij| + sum|b_i| overflows; "
+                          "give the penalty weight explicitly\n"),
+        (["select", "--solver", "constrained"], "squared MMD is not finite"),
+    ], ids=["fold", "default-penalty", "mmd"])
+    def test_overflowing_kernel_sums_are_input_errors(self, tmp_path, capsys, argv, message):
+        # a kernel whose entries are finite but whose sums are not: one stderr
+        # line, no traceback, no numpy warning (turned into an error here)
+        data = tmp_path / "two.csv"
+        data.write_text("0,0\n1,1\n")
+        kernel = tmp_path / "kernel.csv"
+        kernel.write_text("1.5e308,0\n0,1.5e308\n")
+        code = main([argv[0], "--input", str(data), "--kernel", f"precomputed:{kernel}",
+                     "--k", "1", *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"protoqubo: input error: {message}")
+        assert captured.err.count("\n") == 1

@@ -131,6 +131,13 @@ class TestMmd:
         with pytest.raises(NumericalIntegrityError):
             mmd_squared(bad, Selection(np.array([1, 0])))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_kernel_sums_raise_input_error(self):
+        # the grand sum 3e308 overflows; its NaN result must not pass the PSD check
+        big = KernelMatrix(np.array([[1.5e308, 0.0], [0.0, 1.5e308]]))
+        with pytest.raises(InputError, match="the kernel sums overflow"):
+            mmd_squared(big, Selection(np.array([1, 0])))
+
     def test_empty_selection_rejected(self):
         with pytest.raises(InputError):
             mmd_squared(KernelMatrix(np.eye(2)), Selection(np.array([0, 0])))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +129,24 @@ class TestFoldClosedForm:
                 np.testing.assert_array_equal(
                     qbp_to_qubo(p, lam).matrix, closed_form_qubo(p, lam)
                 )
+        # Large penalties, where one ulp of the diagonal exceeds 1e-12 and
+        # fl(2*lam*k) is inexact, and k = 2**m - 1, whose 2*lam*k is the most
+        # exact power-of-two addends for its size.  A left-to-right sum of the
+        # same terms misses the correct rounding on some of these diagonals.
+        naive_misses = 0
+        for _ in range(25):
+            n = int(rng.integers(1, 48))
+            K = random_normalized_kernel(rng, n)
+            D = kernel_to_distance(K)
+            k = 2 ** int(rng.integers(1, (n + 1).bit_length())) - 1
+            gamma = float(rng.uniform(0.01, 5.0))
+            lam = float(10.0 ** rng.uniform(3.0, 7.0))
+            for p in (build_med_qbp(D, gamma, k), build_kde_qbp(K, k)):
+                exact = closed_form_qubo(p, lam)
+                np.testing.assert_array_equal(qbp_to_qubo(p, lam).matrix, exact)
+                naive = p.quadratic.diagonal() + lam + p.linear - 2.0 * lam * k
+                naive_misses += int(np.count_nonzero(naive != exact.diagonal()))
+        assert naive_misses > 0
 
 
 class TestComplementDistance:
@@ -174,6 +193,20 @@ class TestEquivalence:
             lam = float(rng.uniform(1.0, 100.0)) + 1e-6
             rep = verify_equivalence(K, k, lam, tolerance=1e-12)
             assert rep.passed, rep
+
+    def test_peak_memory_is_three_matrices(self):
+        # K is the caller's; besides it, verify holds at most the distance
+        # matrix, the med quadratic part and one folded QUBO, or later the two
+        # folded QUBOs and their difference, taken absolute in place
+        n = 500
+        K = random_normalized_kernel(np.random.default_rng(44), n)
+        tracemalloc.start()
+        try:
+            verify_equivalence(K, 10, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * n * n, peak / (8 * n * n)
 
     def test_single_point_is_exact(self):
         rep = verify_equivalence(KernelMatrix(np.ones((1, 1))), 1, 2.0)

@@ -88,11 +88,29 @@ class TestPenaltyFold:
         np.testing.assert_array_equal(
             qbp_to_qubo(p2, 2.0).matrix, np.array([[-1.0, 1.0], [1.0, -1.0]])
         )
+        # 2*lam*k = 2e300 is finite, so the diagonal is exactly -lam
+        np.testing.assert_array_equal(
+            qbp_to_qubo(p, 1e300).matrix, np.array([[-1e300, 1e300], [1e300, -1e300]])
+        )
 
     def test_lambda_must_be_positive(self):
         p = QbpInstance(np.zeros((2, 2)), np.zeros(2), 1)
         with pytest.raises(InputError):
             qbp_to_qubo(p, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, b, k, lam", [
+        # exact diagonal 1.7e308, but the partial sum 1e308 + 1e307 + 1e308 overflows
+        ([[1e308, 0.0], [0.0, 1e308]], [1e308, 1e308], 2, 1e307),
+        # exact diagonal -1e308, but the addend 2*lam overflows
+        ([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0], 1, 1e308),
+        # the diagonal is finite, A_01 + lam is not
+        ([[0.0, 1.5e308], [1.5e308, 0.0]], [0.0, 0.0], 1, 0.5e308),
+    ], ids=["partial-sum", "addend", "off-diagonal"])
+    def test_overflow_is_an_input_error(self, a, b, k, lam):
+        p = QbpInstance(np.array(a), np.array(b), k)
+        with pytest.raises(InputError, match="QUBO matrix contains non-finite entries"):
+            qbp_to_qubo(p, lam)
 
     def test_penalty_identity_on_all_assignments(self):
         rng = np.random.default_rng(21)
@@ -128,6 +146,12 @@ class TestSufficientPenalty:
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
         med = QbpInstance(-d, d.sum(axis=1), 1)
         assert sufficient_penalty(med) == 5.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_bound_is_an_input_error(self):
+        p = QbpInstance(np.array([[1.5e308, 0.0], [0.0, 1.5e308]]), np.zeros(2), 1)
+        with pytest.raises(InputError, match="give the penalty weight explicitly"):
+            sufficient_penalty(p)
 
     def test_penalized_optimum_is_feasible_and_matches_constrained(self):
         rng = np.random.default_rng(23)

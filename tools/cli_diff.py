@@ -84,6 +84,10 @@ def cases(work: Path) -> list:
     near_kernel = _write_csv(work / "k200.csv",
                              gram + rng.uniform(-2e-13, 2e-13, size=gram.shape))
     near = _write_csv(work / "n200.csv", near)
+    # finite entries whose sums overflow, for the fold, the default penalty and the MMD
+    huge_kernel = work / "k2huge.csv"
+    huge_kernel.write_text("1.5e308,0\n0,1.5e308\n")
+    two = _write_csv(work / "n2.csv", np.array([[0.0, 0.0], [1.0, 1.0]]))
 
     out = []
     for kernel in ("rbf:2.0", "laplacian:1.5"):
@@ -148,6 +152,15 @@ def cases(work: Path) -> list:
     out.append(["select", *near_args, "--solver", "sa", "--sweeps", "5", "--restarts", "1"])
     out.append(["export-qubo", *near_args])
     out.append(["verify", *near_args])
+    # 2*lam*k = 1e4, where one ulp of the fold diagonal exceeds 1e-12
+    for form in ("med", "kde"):
+        out.append(["export-qubo", "--input", near, "--k", "50", "--lambda", "100",
+                    "--formulation", form])
+    out.append(["verify", "--input", near, "--k", "50", "--lambda", "100"])
+    huge_args = ["--input", two, "--kernel", f"precomputed:{huge_kernel}", "--k", "1"]
+    out.append(["export-qubo", *huge_args, "--lambda", "1e308"])
+    out.append(["export-qubo", *huge_args])
+    out.append(["select", *huge_args, "--solver", "constrained"])
     return out
 
 
