@@ -1,28 +1,27 @@
-"""Hot solver loops: numba-jitted kernels with a pure-numpy fallback.
+"""Hot solver loops: numpy exact scans, and an annealer that numba compiles when it imports.
 
-The backend is chosen per call from the ``PROTOQUBO_BACKEND`` environment
-variable: ``auto`` (default: numba when importable), ``numba`` or ``numpy``.
-Each hot loop exists twice:
+Each hot loop has one algorithm, so an input gives the same answer on every
+machine:
 
-* exhaustive scan over all 2^n states (Gray-code bit flips vs. split
-  halves: the energies of the low and the high half-states are computed
-  once, and each block of high halves meets every low half in one matrix
-  product for the cross term),
-* scan over all k-subsets in colex order (jitted successor loop vs. prefix
-  energies: a colex table of the bottom j-subsets and their energies, built
-  level by level from the table below, is scored against each choice of the
-  top k - j elements, which an outer colex loop fixes; j is the largest that
-  keeps the table within a fixed row budget),
-* simulated-annealing sweeps (one loop body, jitted or interpreted).  Each
-  restart keeps the local field h = Qz, so a proposed flip costs O(1) and
-  only an accepted one pays an O(n) update of h (Isakov et al., "Optimised
-  simulated annealing for Ising spin glasses", arXiv:1401.1084).
+* exhaustive scan over all 2^n states in split halves: the energies of the
+  low and the high half-states are computed once, and each block of high
+  halves meets every low half in one matrix product for the cross term,
+* scan over all k-subsets in colex order by prefix energies: a colex table of
+  the bottom j-subsets and their energies, built level by level from the
+  table below, is scored against each choice of the top k - j elements,
+  which an outer colex loop fixes; j is the largest that keeps the table
+  within a fixed row budget,
+* simulated-annealing sweeps: one loop body, jitted or interpreted as the
+  ``PROTOQUBO_BACKEND`` environment variable says (``auto``, the default:
+  numba when importable; ``numba``; ``numpy``).  Each restart keeps the local
+  field h = Qz, so a proposed flip costs O(1) and only an accepted one pays
+  an O(n) update of h (Isakov et al., arXiv:1401.1084).
 
-Both backends visit states in the same order, so tie-breaking is identical:
-colex order of subsets coincides with ordering the indicator vectors as
-little-endian integers.  The numpy scans keep the first minimum of each
-block and replace the best only on strict improvement, block by block in
-that order.
+The interpreted `_exhaustive_gray` and `_constrained_colex` are the order
+references the scans are tested against: colex order of subsets is the
+little-endian integer order of the indicator vectors, and the scans keep the
+first minimum of each block and replace the best only on strict improvement,
+block by block in that order.  Ties are broken among computed energies.
 """
 
 from __future__ import annotations
@@ -67,7 +66,8 @@ def active_backend() -> str:
 
 
 def _exhaustive_gray(Q):
-    # Visits state t ^ (t >> 1) at step t; one bit flip per step, O(n) delta.
+    # Order reference for `exhaustive_best` (interpreted, test-only): visits
+    # state t ^ (t >> 1) at step t; one bit flip per step, O(n) delta.
     n = Q.shape[0]
     z = np.zeros(n, dtype=np.int8)
     e = 0.0
@@ -137,10 +137,7 @@ def exhaustive_best(Q: np.ndarray) -> tuple[np.ndarray, float]:
     """
     Q = np.ascontiguousarray(Q, dtype=np.float64)
     n = Q.shape[0]
-    if active_backend() == "numba":
-        state, energy = _exhaustive_gray_jit(Q)
-    else:
-        state, energy = _exhaustive_halves(Q)
+    state, energy = _exhaustive_halves(Q)
     z = ((int(state) >> np.arange(n)) & 1).astype(np.int8)
     return z, float(energy)
 
@@ -151,7 +148,8 @@ def exhaustive_best(Q: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _constrained_colex(A, b, k):
-    # Colex successor: bump the lowest index with headroom, reset the prefix.
+    # Order reference for `constrained_best` (interpreted, test-only): colex
+    # successor, bump the lowest index with headroom, reset the prefix.
     n = b.shape[0]
     c = np.empty(k, dtype=np.int64)
     for i in range(k):
@@ -257,10 +255,7 @@ def constrained_best(A: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, 
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
-    if active_backend() == "numba":
-        idx, energy = _constrained_colex_jit(A, b, k)
-    else:
-        idx, energy = _constrained_prefix(A, b, k)
+    idx, energy = _constrained_prefix(A, b, k)
     return np.asarray(idx, dtype=np.int64), float(energy)
 
 
@@ -329,6 +324,4 @@ def sa_run(
 
 
 if HAVE_NUMBA:
-    _exhaustive_gray_jit = njit(cache=True)(_exhaustive_gray)
-    _constrained_colex_jit = njit(cache=True)(_constrained_colex)
     _sa_sweeps_jit = njit(cache=True)(_sa_sweeps)

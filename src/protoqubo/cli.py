@@ -64,36 +64,39 @@ def ingest_csv(path: str, has_header: bool = False) -> Dataset:
     """Read a rectangular numeric CSV into a dataset, reporting bad cells by location."""
     rows = []
     try:
-        handle = open(path, newline="")
+        handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from exc
     with handle:
         reader = csv.reader(handle)
         width = None
-        for lineno, row in enumerate(reader, start=1):
-            if has_header and lineno == 1:
-                continue
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise InputError(
-                    f"{path}: row {lineno} has {len(row)} columns, expected {width}"
-                )
-            values = []
-            for col, cell in enumerate(row, start=1):
-                try:
-                    values.append(float(cell))
-                except ValueError:
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if has_header and lineno == 1:
+                    continue
+                if not row or all(cell.strip() == "" for cell in row):
+                    continue
+                if width is None:
+                    width = len(row)
+                elif len(row) != width:
                     raise InputError(
-                        f"{path}: row {lineno}, column {col}: not a number: {cell!r}"
-                    ) from None
-                if not math.isfinite(values[-1]):
-                    raise InputError(
-                        f"{path}: row {lineno}, column {col}: not a finite number: {cell!r}"
+                        f"{path}: row {lineno} has {len(row)} columns, expected {width}"
                     )
-            rows.append(values)
+                values = []
+                for col, cell in enumerate(row, start=1):
+                    try:
+                        values.append(float(cell))
+                    except ValueError:
+                        raise InputError(
+                            f"{path}: row {lineno}, column {col}: not a number: {cell!r}"
+                        ) from None
+                    if not math.isfinite(values[-1]):
+                        raise InputError(
+                            f"{path}: row {lineno}, column {col}: not a finite number: {cell!r}"
+                        )
+                rows.append(values)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
     if not rows:
         raise InputError(f"{path}: no data rows")
     return Dataset(np.array(rows, dtype=np.float64))
@@ -229,8 +232,11 @@ def run(args) -> dict:
 
 def _emit(text: str, output_path: Optional[str]) -> None:
     if output_path:
-        with open(output_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {output_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):

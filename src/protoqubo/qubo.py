@@ -13,8 +13,8 @@ not checked again.
 
 Solvers: exhaustive enumeration (ground truth, hard-capped), enumeration of
 the feasible k-subsets, and single-bit-flip Metropolis simulated annealing.
-The enumeration and annealing inner loops live in `accel` (numba-jitted with
-a numpy fallback).
+The enumeration and annealing inner loops live in `accel` (numpy scans, and
+an annealing loop that numba compiles when it imports).
 """
 
 from __future__ import annotations
@@ -97,7 +97,6 @@ class Selection:
         zi = z.astype(np.int64)
         if not np.array_equal(zi, z) or not np.all((zi == 0) | (zi == 1)):
             raise InputError("indicator entries must be 0 or 1")
-        zi = zi.copy()
         zi.setflags(write=False)
         object.__setattr__(self, "indicator", zi)
 

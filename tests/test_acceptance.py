@@ -44,6 +44,13 @@ def feasible_indicators(n, k):
     return z
 
 
+def clustered_rbf_kernel(rng, n=3000, d=8):
+    """RBF kernel (h = 2d) of n seeded points around six Gaussian centres in d dimensions."""
+    centres = rng.normal(scale=3.0, size=(6, d))
+    data = pq.Dataset(centres[rng.integers(0, 6, size=n)] + rng.normal(size=(n, d)))
+    return pq.kernel_matrix(pq.RbfKernel(2.0 * d), data)
+
+
 def test_criterion_1_qubo_matrix_identity():
     rng = np.random.default_rng(31337)
     worst = 0.0
@@ -87,6 +94,57 @@ def test_criterion_2_constrained_objective_gap():
     ok = worst_gap_dev <= 1e-9 and worst_argmin_dev <= 1e-9
     report(2, "constrained objective gap k^2 and argmin transfer", ok,
            f"gap dev={worst_gap_dev:.3e}, argmin dev={worst_argmin_dev:.3e}")
+    assert ok
+
+
+def objective_gap_rounding_bound(n, k):
+    """Bound on |qbp_energy(med) - qbp_energy(kde) - k^2| on a feasible z, for 0 <= K_ij <= 1.
+
+    The programs are built from one kernel K with ``D = fl(1 - K)`` and
+    ``gamma = fl(2k/n)``; ``u = 2**-53`` and ``g(m) = m*u / (1 - m*u)``.  With
+    exact arithmetic, ``D = 1 - K`` and ``gamma = 2k/n``, the objectives on a
+    selection S of k points are ``-P + gamma*V_D`` and ``W - gamma*V_K``, with
+    P and W the sums of D and K over S x S and V_D and V_K the sums of their
+    selected rows; ``P + W = k^2`` and ``V_D + V_K = k*n``, so they differ by
+    exactly k^2.  Recursive summation (Higham, ch. 3-4): a sum of m terms, in
+    any order, is within ``g(m)`` times the sum of the terms' magnitudes, and
+    ``(1 + g(a))(1 + g(b)) <= 1 + g(a + b)``.  `qbp_energy` computes
+    ``z @ A @ z + b @ z``, each term as its exact value times ``1 + t``:
+
+    * P and W through the rounding of D (med only), two sums of n terms and
+      the final addition, so ``|t| <= g(2n + 2)``;
+    * gamma*V_D and gamma*V_K through the rounding of D, a row sum of n terms,
+      the rounding of gamma, the product, the sum over z of n terms and the
+      final addition, so ``|t| <= g(2n + 4)``.
+
+    Every term is nonnegative, so the two energies are off by at most
+    ``g(2n + 4)*(P + W + gamma*(V_D + V_K)) = 3k^2*g(2n + 4)`` together.  Their
+    difference rounds once more, by at most ``u*(k^2 + 3k^2*g(2n + 4)) <=
+    g(2)*k^2``, and subtracting k^2 from a value within a factor of 2 of it is
+    exact (Sterbenz).  Hence ``k^2*(3*g(2n + 4) + g(2))``.
+    """
+    return k * k * (3.0 * _gamma(2 * n + 4) + _gamma(2))
+
+
+def test_criterion_2_at_n_3000():
+    # the k^2 objective gap on seeded feasible selections of the 3000-point
+    # kernel of criterion 4, against the derived rounding bound
+    rng = np.random.default_rng(404)
+    n = 3000
+    K = clustered_rbf_kernel(rng, n)
+    D = pq.kernel_to_distance(K)
+    ok, details = True, []
+    for k in (10, 50, 300):
+        med = pq.build_med_qbp(D, 2.0 * k / n, k)
+        kde = pq.build_kde_qbp(K, k)
+        bound = objective_gap_rounding_bound(n, k)
+        worst = 0.0
+        for _ in range(20):
+            sel = pq.Selection.from_indices(n, rng.choice(n, size=k, replace=False))
+            worst = max(worst, abs(pq.qbp_energy(med, sel) - pq.qbp_energy(kde, sel) - k**2))
+        ok &= worst <= bound
+        details.append(f"k={k}: worst dev={worst:.2e}, {worst / bound:.1e} of bound")
+    report(2, "constrained objective gap k^2 at n=3000", ok, "; ".join(details))
     assert ok
 
 
@@ -144,10 +202,8 @@ def test_criterion_3_at_n_3000():
     # the proof step of the sufficient penalty on a 3000-point kde program: from
     # seeded infeasible z, every single flip toward k lowers z^T Q z by about 1 or more
     rng = np.random.default_rng(303)
-    n, d, k = 3000, 8, 10
-    centres = rng.normal(scale=3.0, size=(6, d))
-    data = pq.Dataset(centres[rng.integers(0, 6, size=n)] + rng.normal(size=(n, d)))
-    p = pq.build_kde_qbp(pq.kernel_matrix(pq.RbfKernel(2.0 * d), data), k)
+    n, k = 3000, 10
+    p = pq.build_kde_qbp(clustered_rbf_kernel(rng, n), k)
     lam = pq.sufficient_penalty(p)
     Q = pq.qbp_to_qubo(p, lam).matrix
     sizes = [0, k - 1, k + 1, n]
@@ -220,10 +276,8 @@ def test_criterion_4_at_n_3000():
     # scaled MMD = program energy + constant on seeded feasible selections of
     # a 3000-point kernel, against the derived rounding bound of both sides
     rng = np.random.default_rng(404)
-    n, d = 3000, 8
-    centres = rng.normal(scale=3.0, size=(6, d))
-    data = pq.Dataset(centres[rng.integers(0, 6, size=n)] + rng.normal(size=(n, d)))
-    K = pq.kernel_matrix(pq.RbfKernel(2.0 * d), data)
+    n = 3000
+    K = clustered_rbf_kernel(rng, n)
     rows = K.entries.sum(axis=1)
     total = float(K.entries.sum())
     ok, details = True, []

@@ -1,10 +1,12 @@
 """Each fast path must visit states in the same order as the reference loop.
 
 The plain-Python loop bodies in `accel` (`_exhaustive_gray`,
-`_constrained_colex`, `_sa_sweeps`) are what numba compiles; run interpreted,
-they are the reference for visiting order and tie-break.  The numpy scans are
-checked against them on every machine; the jitted paths are checked only where
-numba imports, and those tests skip with "numba not importable" elsewhere.
+`_constrained_colex`, `_sa_sweeps`) are the reference for visiting order and
+tie-break.  The numpy scans are the only scans, on every machine; they are
+checked against the interpreted Gray-code and colex loops, and they must give
+the same selection whichever backend the environment names.  Only
+`_sa_sweeps` is compiled by numba; the two tests that run the jitted annealer
+skip with "numba not importable" where numba does not import.
 The numpy scans work in blocks; small budgets make the agreement tests cross
 block boundaries, and at sizes too large for the interpreted loops, programs
 with planted ties and known answers check the first-minimum rule where
@@ -21,13 +23,25 @@ import gc
 import numpy as np
 import pytest
 
-from protoqubo import InputError, QbpInstance, QuboInstance, SaSchedule, solve_sa
+from protoqubo import (
+    Dataset,
+    InputError,
+    QbpInstance,
+    QuboInstance,
+    RbfKernel,
+    SaSchedule,
+    build_kde_qbp,
+    kernel_matrix,
+    qbp_to_qubo,
+    solve_sa,
+    sufficient_penalty,
+)
 from protoqubo import accel
 from protoqubo.qubo import sa_drift_bound
 
 NO_NUMBA = "numba not importable"
 
-# backends whose scans are a second code path beside the interpreted loop body
+# the backends the environment can name here; the scans must not depend on it
 FAST_BACKENDS = ["numpy", "numba"] if accel.HAVE_NUMBA else ["numpy"]
 
 
@@ -103,6 +117,29 @@ def test_env_flag_resolution(monkeypatch):
     monkeypatch.setenv(accel.ENV_VAR, "bogus")
     with pytest.raises(InputError):
         accel.active_backend()
+
+
+# Points 4 and 9 coincide, so the kde subsets {4, 5, 10} and {5, 9, 10} have
+# the same exact energy; the Gray-code and colex loops sum it in another order
+# than the numpy scans and pick the other subset.
+TIED_GRID = np.array([[3, 2], [2, 3], [2, 3], [3, 0], [0, 1], [1, 3],
+                      [3, 0], [1, 3], [0, 3], [0, 1], [3, 1], [1, 1]], dtype=float)
+
+
+def test_exact_scans_ignore_the_backend(monkeypatch):
+    # stand in for numba with the interpreted loop bodies: a scan that dispatched
+    # on the backend would return the loops' choice under "numba"
+    monkeypatch.setattr(accel, "HAVE_NUMBA", True)
+    for name in ("_exhaustive_gray", "_constrained_colex", "_sa_sweeps"):
+        monkeypatch.setattr(accel, f"{name}_jit", getattr(accel, name), raising=False)
+    p = build_kde_qbp(kernel_matrix(RbfKernel(2.0), Dataset(TIED_GRID)), 3)
+    Q = qbp_to_qubo(p, sufficient_penalty(p)).matrix
+    for name in ("numba", "numpy"):
+        monkeypatch.setenv(accel.ENV_VAR, name)
+        c, _ = accel.constrained_best(p.quadratic, p.linear, p.k)
+        z, _ = accel.exhaustive_best(Q)
+        np.testing.assert_array_equal(c, [4, 5, 10])
+        np.testing.assert_array_equal(np.flatnonzero(z), [4, 5, 10])
 
 
 def test_colex_chunk_order_matches_integer_order():

@@ -441,3 +441,28 @@ class TestMainEntry:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith(f"protoqubo: input error: {message}")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, target", [
+        ("select", "missing/out.json"),
+        ("export-qubo", "."),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_output_is_an_input_error(self, two_point_file, tmp_path, capsys,
+                                                 command, target):
+        output = tmp_path / target
+        code = main([command, "--input", two_point_file, "--k", "1", "--output", str(output)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"protoqubo: input error: cannot write {output}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("binary_as", ["input", "kernel"])
+    def test_non_utf8_file_is_an_input_error(self, two_point_file, tmp_path, capsys, binary_as):
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+        source = (["--input", str(binary)] if binary_as == "input"
+                  else ["--input", two_point_file, "--kernel", f"precomputed:{binary}"])
+        code = main(["select", *source, "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"protoqubo: input error: {binary}: "
+                                "not a UTF-8 text file (invalid start byte)\n")

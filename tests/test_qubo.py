@@ -62,6 +62,10 @@ class TestEnergies:
     def test_selection_validation(self):
         with pytest.raises(InputError):
             Selection(np.array([0, 2]))
+        z = np.array([1, 0, 1], dtype=np.int64)
+        sel = Selection(z)
+        z[0] = 0
+        np.testing.assert_array_equal(sel.indicator, [1, 0, 1])
         sel = Selection.from_indices(4, [3, 1])
         np.testing.assert_array_equal(sel.indicator, [0, 1, 0, 1])
         np.testing.assert_array_equal(sel.indices, [1, 3])

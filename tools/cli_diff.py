@@ -88,6 +88,13 @@ def cases(work: Path) -> list:
     huge_kernel = work / "k2huge.csv"
     huge_kernel.write_text("1.5e308,0\n0,1.5e308\n")
     two = _write_csv(work / "n2.csv", np.array([[0.0, 0.0], [1.0, 1.0]]))
+    # points 4 and 9 coincide, so two 3-subsets tie exactly and the computed
+    # energies pick one of them
+    grid = _write_csv(work / "grid12.csv", np.array(
+        [[3, 2], [2, 3], [2, 3], [3, 0], [0, 1], [1, 3],
+         [3, 0], [1, 3], [0, 3], [0, 1], [3, 1], [1, 1]], dtype=float))
+    binary = work / "binary.csv"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
 
     out = []
     for kernel in ("rbf:2.0", "laplacian:1.5"):
@@ -161,6 +168,14 @@ def cases(work: Path) -> list:
     out.append(["export-qubo", *huge_args, "--lambda", "1e308"])
     out.append(["export-qubo", *huge_args])
     out.append(["select", *huge_args, "--solver", "constrained"])
+    for solver in ("constrained", "exhaustive"):
+        for form in ("med", "kde"):
+            out.append(["select", "--input", grid, "--k", "3", "--formulation", form,
+                        "--solver", solver])
+    # I/O errors: an output directory that does not exist, an input that is not UTF-8
+    out.append(["select", "--input", quad, "--k", "2", "--output",
+                str(work / "missing" / "out.json")])
+    out.append(["select", "--input", str(binary), "--k", "1"])
     return out
 
 
