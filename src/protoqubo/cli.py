@@ -70,6 +70,7 @@ def ingest_csv(path: str, has_header: bool = False) -> Dataset:
     with handle:
         reader = csv.reader(handle)
         width = None
+        lineno = 0
         try:
             for lineno, row in enumerate(reader, start=1):
                 if has_header and lineno == 1:
@@ -97,6 +98,8 @@ def ingest_csv(path: str, has_header: bool = False) -> Dataset:
                 rows.append(values)
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
+        except csv.Error as exc:
+            raise InputError(f"{path}: row {lineno + 1}: {exc}") from None
     if not rows:
         raise InputError(f"{path}: no data rows")
     return Dataset(np.array(rows, dtype=np.float64))

@@ -9,9 +9,10 @@ Both are normalized (``K(x, x) = 1``), which is what licenses turning a kernel
 matrix into a distance matrix via ``D = 1 - K``.  With ``h = 2`` the RBF
 complement distance is exactly Welsch's M-estimator ``1 - exp(-||x - y||^2 / 2)``.
 
-Every kernel and distance value comes from one scipy ``cdist`` call with the
-kernel's metric, so `eval_kernel`, the densities and `kernel_matrix` return
-the same doubles for the same pair of points.
+Every kernel and distance value comes from one numpy loop, `_pairwise`, that
+adds the coordinate terms ``(x_c - y_c)**2`` or ``|x_c - y_c|`` in coordinate
+order, so `eval_kernel`, the densities and `kernel_matrix` return the same
+doubles for the same pair of points.
 
 Matrices are validated once, where they enter the package: the public
 constructors of the matrix types here and in `qubo` copy, check, and mirror
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import InputError, PreconditionError
 
@@ -35,6 +35,7 @@ SYMMETRY_TOL = 1e-12
 DIAGONAL_TOL = 1e-12
 NEGATIVE_CLAMP = -1e-12
 _TILE = 256
+_ROW_BLOCK = 16
 
 
 def _symmetric_matrix(entries, name: str) -> np.ndarray:
@@ -146,8 +147,8 @@ class PrecomputedKernel:
 
 KernelSpec = Union[RbfKernel, LaplacianKernel, PrecomputedKernel]
 
-# scipy metric of each parametric kernel: K(x, y) = exp(-metric(x, y) / h)
-_METRICS = {RbfKernel: "sqeuclidean", LaplacianKernel: "cityblock"}
+# coordinate term of each parametric kernel: K(x, y) = exp(-sum_c op(x_c - y_c) / h)
+_METRICS = {RbfKernel: np.square, LaplacianKernel: np.abs}
 
 
 @dataclass(frozen=True)
@@ -219,12 +220,31 @@ def _kernel_row(spec: KernelSpec, x, Y: np.ndarray) -> np.ndarray:
     return _kernel_values(spec, xv[None, :], Y)[0]
 
 
+def _pairwise(X: np.ndarray, Y: np.ndarray, op) -> np.ndarray:
+    """``sum_c op(x_c - y_c)`` for every row x of X and row y of Y, ``_ROW_BLOCK`` rows at a time.
+
+    Each entry adds its coordinate terms left to right, so it is the double a
+    plain per-pair loop gives.
+    """
+    XT, YT = np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
+    out = np.zeros((X.shape[0], Y.shape[0]))
+    tmp = np.empty((_ROW_BLOCK, Y.shape[0]))
+    for i in range(0, X.shape[0], _ROW_BLOCK):
+        acc = out[i:i + _ROW_BLOCK]
+        t = tmp[:acc.shape[0]]
+        for xc, yc in zip(XT[:, i:i + _ROW_BLOCK], YT):
+            np.subtract(xc[:, None], yc, out=t)
+            op(t, out=t)
+            acc += t
+    return out
+
+
 def _kernel_values(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """``exp(-dist(x, y) / h)`` for every row x of X and row y of Y, from one cdist call."""
-    metric = _METRICS.get(type(spec))
-    if metric is None:
+    """``exp(-dist(x, y) / h)`` for every row x of X and row y of Y, from one `_pairwise` call."""
+    op = _METRICS.get(type(spec))
+    if op is None:
         raise InputError(f"unknown kernel spec {spec!r}")
-    return np.exp(-cdist(X, Y, metric) / spec.h)
+    return np.exp(-_pairwise(X, Y, op) / spec.h)
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
@@ -235,12 +255,13 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
 def kernel_matrix(spec: KernelSpec, data: Dataset) -> KernelMatrix:
     """Build the n-by-n kernel matrix of a dataset.
 
-    For parametric kernels every entry comes from the one scipy metric call
-    that `eval_kernel` also makes, so entry (i, j) is the double
+    For parametric kernels every entry comes from the `_pairwise` sum that
+    `eval_kernel` also computes, so entry (i, j) is the double
     ``eval_kernel(spec, x_i, x_j)`` returns.  The matrix is exactly symmetric
-    because each metric is symmetric in IEEE arithmetic (``(a - b)**2`` and
-    ``|a - b|`` do not depend on the order of a and b).  A precomputed matrix
-    is shared after a check against the dataset size.
+    because each coordinate term is symmetric in IEEE arithmetic (``(a - b)**2``
+    and ``|a - b|`` do not depend on the order of a and b) and (i, j) and
+    (j, i) add them in the same order.  A precomputed matrix is shared after a
+    check against the dataset size.
     """
     if isinstance(spec, PrecomputedKernel):
         if spec.matrix.shape[0] != data.n:
@@ -267,5 +288,5 @@ def kernel_to_distance(K: KernelMatrix) -> DistanceMatrix:
 
 
 def euclidean_distance_matrix(data: Dataset) -> DistanceMatrix:
-    """Plain pairwise Euclidean distances of a dataset."""
-    return DistanceMatrix(cdist(data.points, data.points, "euclidean"))
+    """Plain pairwise Euclidean distances of a dataset: the square root of the RBF sums."""
+    return DistanceMatrix(np.sqrt(_pairwise(data.points, data.points, np.square)))

@@ -41,9 +41,6 @@ from protoqubo.qubo import sa_drift_bound
 
 NO_NUMBA = "numba not importable"
 
-# the backends the environment can name here; the scans must not depend on it
-FAST_BACKENDS = ["numpy", "numba"] if accel.HAVE_NUMBA else ["numpy"]
-
 
 def random_symmetric(rng, n, integers=False):
     if integers:
@@ -160,20 +157,18 @@ def test_colex_table_energies_match_direct_sums():
         assert e == A[np.ix_(c, c)].sum() + b[c].sum()
 
 
-def test_exhaustive_backends_agree(monkeypatch):
+def test_exhaustive_backends_agree():
     rng = np.random.default_rng(70)
     for trial in range(25):
         n = int(rng.integers(1, 13))
         Q = random_symmetric(rng, n, integers=trial % 2 == 0)
         z0, e0 = reference_exhaustive(Q)
-        for name in FAST_BACKENDS:
-            monkeypatch.setenv(accel.ENV_VAR, name)
-            z, e = accel.exhaustive_best(Q)
-            np.testing.assert_array_equal(z, z0)
-            assert e == pytest.approx(e0, abs=1e-9)
+        z, e = accel.exhaustive_best(Q)
+        np.testing.assert_array_equal(z, z0)
+        assert e == pytest.approx(e0, abs=1e-9)
 
 
-def test_constrained_backends_agree(monkeypatch):
+def test_constrained_backends_agree():
     rng = np.random.default_rng(71)
     for trial in range(25):
         n = int(rng.integers(1, 12))
@@ -183,17 +178,14 @@ def test_constrained_backends_agree(monkeypatch):
         # integer data makes subsets tie, which exercises the tie-break
         b = rng.integers(-4, 5, n).astype(float) if integers else rng.normal(size=n)
         c0, e0 = accel._constrained_colex(A, b, k)
-        for name in FAST_BACKENDS:
-            monkeypatch.setenv(accel.ENV_VAR, name)
-            c, e = accel.constrained_best(A, b, k)
-            np.testing.assert_array_equal(c, c0)
-            assert e == pytest.approx(e0, abs=1e-9)
+        c, e = accel.constrained_best(A, b, k)
+        np.testing.assert_array_equal(c, c0)
+        assert e == pytest.approx(e0, abs=1e-9)
 
 
 def test_scans_agree_across_small_blocks(monkeypatch):
     # budgets of a few rows make every scan cross many block boundaries and
     # fix several top elements in the outer colex loop
-    monkeypatch.setenv(accel.ENV_VAR, "numpy")
     monkeypatch.setattr(accel, "SCAN_ENERGIES", 7)
     monkeypatch.setattr(accel, "GATHER_ROWS", 3)
     rng = np.random.default_rng(75)
@@ -213,10 +205,9 @@ def test_scans_agree_across_small_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [17, 20, 23, 24])
-def test_exhaustive_planted_ties(monkeypatch, n):
+def test_exhaustive_planted_ties(n):
     # Q = diag(d), d in {-1, 0}: every state that sets all the -1 bits is
     # optimal, and the smallest integer among them sets nothing else
-    monkeypatch.setenv(accel.ENV_VAR, "numpy")
     rng = np.random.default_rng(76 + n)
     d = np.where(rng.random(n) < 0.5, -1.0, 0.0)
     half = (n + 1) // 2
@@ -227,11 +218,10 @@ def test_exhaustive_planted_ties(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n, k", [(40, 5), (24, 12), (3000, 2)])
-def test_constrained_planted_ties(monkeypatch, n, k):
+def test_constrained_planted_ties(n, k):
     # A = 0: a subset's energy is its b-sum, so the optimal subsets hold the
     # k smallest values, and the colex-first of them takes the lowest indices
     # among tied values, as a stable sort does
-    monkeypatch.setenv(accel.ENV_VAR, "numpy")
     rng = np.random.default_rng(77 + n)
     b = rng.integers(0, 4, n).astype(float)
     expected = np.sort(np.argsort(b, kind="stable")[:k])
@@ -242,23 +232,20 @@ def test_constrained_planted_ties(monkeypatch, n, k):
 
 
 @pytest.mark.parametrize("n, k", [(40, 5), (24, 12), (3000, 2)])
-def test_constrained_zero_program_picks_the_first_subset(monkeypatch, n, k):
-    monkeypatch.setenv(accel.ENV_VAR, "numpy")
+def test_constrained_zero_program_picks_the_first_subset(n, k):
     c, e = accel.constrained_best(np.zeros((n, n)), np.zeros(n), k)
     np.testing.assert_array_equal(c, np.arange(k))
     assert e == 0.0
 
 
 @pytest.mark.parametrize("n", [17, 24])
-def test_exhaustive_zero_program_picks_state_zero(monkeypatch, n):
-    monkeypatch.setenv(accel.ENV_VAR, "numpy")
+def test_exhaustive_zero_program_picks_state_zero(n):
     z, e = accel.exhaustive_best(np.zeros((n, n)))
     assert not z.any() and e == 0.0
 
 
 @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (2, 2), (6, 1), (6, 5), (6, 6), (9, 8)])
-def test_constrained_edge_shapes(monkeypatch, n, k):
-    monkeypatch.setenv(accel.ENV_VAR, "numpy")
+def test_constrained_edge_shapes(n, k):
     rng = np.random.default_rng(78 + 10 * n + k)
     for integers in (True, False):
         A = random_symmetric(rng, n, integers=integers)
@@ -270,8 +257,7 @@ def test_constrained_edge_shapes(monkeypatch, n, k):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9])
-def test_exhaustive_edge_shapes(monkeypatch, n):
-    monkeypatch.setenv(accel.ENV_VAR, "numpy")
+def test_exhaustive_edge_shapes(n):
     rng = np.random.default_rng(79 + n)
     for integers in (True, False):
         Q = random_symmetric(rng, n, integers=integers)
@@ -287,7 +273,6 @@ def test_numpy_scans_leave_no_reference_cycles(monkeypatch, budget):
     # cyclic collector happens to run, so the peak memory of a run of scans
     # would depend on the collector's timing.  The small budget makes the
     # k-subset scan fix top elements in its outer loop.
-    monkeypatch.setenv(accel.ENV_VAR, "numpy")
     monkeypatch.setattr(accel, "SCAN_ENERGIES", budget)
     rng = np.random.default_rng(80)
     A = random_symmetric(rng, 12)

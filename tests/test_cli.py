@@ -466,3 +466,17 @@ class TestMainEntry:
         assert code == 1 and captured.out == ""
         assert captured.err == (f"protoqubo: input error: {binary}: "
                                 "not a UTF-8 text file (invalid start byte)\n")
+
+    @pytest.mark.parametrize("long_as", ["input", "kernel"])
+    def test_field_over_the_csv_limit_is_an_input_error(self, two_point_file, tmp_path, capsys,
+                                                        long_as):
+        # the csv module refuses a field longer than its limit of 131072 characters
+        long = tmp_path / "long.csv"
+        long.write_text("1,0\n" + "1" * 140000 + ",1\n")
+        source = (["--input", str(long)] if long_as == "input"
+                  else ["--input", two_point_file, "--kernel", f"precomputed:{long}"])
+        code = main(["select", *source, "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"protoqubo: input error: {long}: "
+                                "row 2: field larger than field limit (131072)\n")

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import protoqubo
 from protoqubo import (
     Dataset,
     DistanceMatrix,
@@ -23,7 +28,7 @@ from protoqubo import (
     kernel_to_distance,
     qbp_to_qubo,
 )
-from protoqubo.kernels import SYMMETRY_TOL
+from protoqubo.kernels import _ROW_BLOCK, SYMMETRY_TOL
 
 
 def test_eval_rbf_same_point_is_one():
@@ -69,22 +74,53 @@ def test_kernel_matrix_single_point():
     assert K.normalized
 
 
-@pytest.mark.parametrize("d", [1, 3, 8, 17])
+def pairwise_reference(points, term):
+    """Per-pair sums of the coordinate terms, added in coordinate order."""
+    rows = points.tolist()
+    S = np.empty((len(rows), len(rows)))
+    for i, x in enumerate(rows):
+        for j, y in enumerate(rows):
+            s = 0.0
+            for a, b in zip(x, y):
+                s += term(a - b)
+            S[i, j] = s
+    return S
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 17, 40])
 @pytest.mark.parametrize("make_spec", [RbfKernel, LaplacianKernel])
 def test_every_evaluation_path_gives_the_matrix_entry_bit_for_bit(make_spec, d):
-    # eval_kernel, kde_density and kernel_matrix share one metric call, so a
-    # kernel value is the same double wherever it is computed.
+    # eval_kernel, kde_density and kernel_matrix share one pairwise sum, so a
+    # kernel value is the same double wherever it is computed, and it is the
+    # double a plain per-pair loop gives; 37 rows end in a partial row block
+    n = 37
+    assert n % _ROW_BLOCK != 0
     rng = np.random.default_rng(15 + d)
-    points = rng.normal(scale=2.0, size=(40, d))
+    points = rng.normal(scale=2.0, size=(n, d))
     spec = make_spec(0.7 * d)
     data = Dataset(points)
     K = kernel_matrix(spec, data).entries
-    for i in range(len(points)):
-        row = [eval_kernel(spec, points[i], points[j]) for j in range(len(points))]
+    squares = pairwise_reference(points, lambda t: t * t)
+    S = squares if make_spec is RbfKernel else pairwise_reference(points, abs)
+    np.testing.assert_array_equal(K, np.exp(-S / spec.h), strict=True)
+    np.testing.assert_array_equal(euclidean_distance_matrix(data).entries, np.sqrt(squares),
+                                  strict=True)
+    for i in range(n):
+        row = [eval_kernel(spec, points[i], points[j]) for j in range(n)]
         np.testing.assert_array_equal(np.array(row), K[i], strict=True)
         assert kde_density(spec, data, points[i]) == float(np.mean(K[i]))
     one = kernel_matrix(spec, Dataset(points[:1])).entries
     np.testing.assert_array_equal(one, np.array([[1.0]]), strict=True)
+
+
+def test_importing_the_package_does_not_import_scipy():
+    # numpy is the one runtime dependency
+    src = Path(protoqubo.__file__).resolve().parent.parent
+    code = "import sys, protoqubo, protoqubo.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_kernel_matrix_two_points_rbf():

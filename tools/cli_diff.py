@@ -95,6 +95,12 @@ def cases(work: Path) -> list:
          [3, 0], [1, 3], [0, 3], [0, 1], [3, 1], [1, 1]], dtype=float))
     binary = work / "binary.csv"
     binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    # drawn after every other input: dimensions where a pairwise sum has many
+    # coordinate terms (d = 8 is build_large's), and a field over the csv limit
+    dims = {d: _write_csv(work / f"n{n}d{d}.csv", _clustered(rng, n, d))
+            for n, d in ((48, 8), (40, 17), (30, 40))}
+    long_field = work / "long.csv"
+    long_field.write_text("1" * 140000 + ",1\n")
 
     out = []
     for kernel in ("rbf:2.0", "laplacian:1.5"):
@@ -176,6 +182,16 @@ def cases(work: Path) -> list:
     out.append(["select", "--input", quad, "--k", "2", "--output",
                 str(work / "missing" / "out.json")])
     out.append(["select", "--input", str(binary), "--k", "1"])
+    for d, csv in dims.items():
+        for kernel in (f"rbf:{2 * d}", f"laplacian:{d}"):
+            for form in ("med", "kde"):
+                out.append(["select", "--input", csv, "--k", "3", "--kernel", kernel,
+                            "--formulation", form])
+        out.append(["verify", "--input", csv, "--k", "3", "--kernel", f"rbf:{2 * d}"])
+        out.append(["export-qubo", "--input", csv, "--k", "3", "--kernel", f"laplacian:{d}"])
+        for kernel in ([], ["--kernel", f"rbf:{2 * d}"]):
+            out.append(["baseline", "--input", csv, "--k", "3", "--seed", "2", *kernel])
+    out.append(["select", "--input", str(long_field), "--k", "1"])
     return out
 
 
