@@ -11,17 +11,20 @@ machine:
   table below, is scored against each choice of the top k - j elements,
   which an outer colex loop fixes; j is the largest that keeps the table
   within a fixed row budget,
-* simulated-annealing sweeps: one loop body, jitted or interpreted as the
-  ``PROTOQUBO_BACKEND`` environment variable says (``auto``, the default:
-  numba when importable; ``numba``; ``numpy``).  Each restart keeps the local
-  field h = Qz, so a proposed flip costs O(1) and only an accepted one pays
-  an O(n) update of h (Isakov et al., arXiv:1401.1084).
+* simulated-annealing sweeps, on the backend the ``PROTOQUBO_BACKEND``
+  environment variable names (``auto``, the default: numba when importable;
+  ``numba``; ``numpy``).  Each restart keeps the local field h = Qz, so a
+  proposed flip costs O(1) and only an accepted one pays an O(n) update of h
+  (Isakov et al., arXiv:1401.1084).  numba compiles the loop `_sa_sweeps`;
+  numpy scores the proposals between two accepted flips in blocks, with the
+  loop's trajectory.
 
 The interpreted `_exhaustive_gray` and `_constrained_colex` are the order
 references the scans are tested against: colex order of subsets is the
 little-endian integer order of the indicator vectors, and the scans keep the
 first minimum of each block and replace the best only on strict improvement,
 block by block in that order.  Ties are broken among computed energies.
+`_sa_sweeps`, interpreted, is the reference of `_sa_block_scan`.
 """
 
 from __future__ import annotations
@@ -46,6 +49,11 @@ ENV_VAR = "PROTOQUBO_BACKEND"
 # the 2^n scan, or the k-subset table), and rows per gather.
 SCAN_ENERGIES = 1 << 20
 GATHER_ROWS = 1 << 15
+
+# Proposals the numpy annealer scores at once after an accepted flip; the
+# block doubles after each block without an acceptance, up to SA_BLOCK_MAX.
+SA_BLOCK = 16
+SA_BLOCK_MAX = 1 << 12
 
 
 def active_backend() -> str:
@@ -302,6 +310,63 @@ def _sa_sweeps(Q, z, flips, us, temps):
     return best_z, best_e
 
 
+def _sa_block_scan(Q, z, flips, us, temps):
+    # `_sa_sweeps`' trajectory with the rejections scored in blocks.  Between
+    # two accepted flips z and h do not change, so each bit's energy change is
+    # computed once per acceptance, by the loop's formula, and every proposal
+    # up to the next acceptance reads it; the first acceptance of a block is
+    # applied as the loop applies it, and the scan resumes right after it.
+    # The start-up sums add the loop's terms in the loop's order, so e and h
+    # are its doubles.  The vectorized np.exp must round as the scalar one
+    # does; tests/test_backends.py checks that precondition.
+    n = Q.shape[0]
+    sel = np.flatnonzero(z)
+    e = np.cumsum(np.append(0.0, Q[np.ix_(sel, sel)]))[-1]
+    h = np.cumsum(np.column_stack((np.zeros(n), Q[:, sel])), axis=1)[:, -1].copy()
+    q = Q.diagonal()
+    best_e = e
+    best_z = z.copy()
+    t, size, stale = 0, SA_BLOCK, True
+    while t < flips.shape[0]:
+        if stale:
+            # de = qjj + 2 h_j up, -(qjj + 2 (h_j - qjj)) down.  exp sees -de / T
+            # of an uphill flip, the loop's argument, and 0 for a downhill one,
+            # which the loop accepts without calling exp, so nothing overflows.
+            down = z != 0
+            de = np.where(down, h - q, h)
+            de *= 2.0
+            de += q
+            np.negative(de, out=de, where=down)
+            downhill = de <= 0.0
+            neg_de = np.minimum(-de, 0.0)
+            stale = False
+        js = flips[t : t + size]
+        b = js.shape[0]
+        x = neg_de[js]
+        x /= temps[np.arange(t, t + b) // n]
+        accept = us[t : t + b] < np.exp(x, out=x)
+        accept |= downhill[js]
+        i = int(accept.argmax())
+        if not accept[i]:
+            t += b
+            size = min(2 * size, SA_BLOCK_MAX)
+            continue
+        j = js[i]
+        if down[j]:
+            z[j] = 0
+            h -= Q[:, j]
+        else:
+            z[j] = 1
+            h += Q[:, j]
+        e += de[j]
+        if e < best_e:
+            best_e = e
+            best_z[:] = z
+        t += i + 1
+        size, stale = SA_BLOCK, True
+    return best_z, best_e
+
+
 def sa_run(
     Q: np.ndarray,
     z0: np.ndarray,
@@ -311,15 +376,19 @@ def sa_run(
 ) -> tuple[np.ndarray, float]:
     """One annealing restart over pre-drawn flip indices and uniforms.
 
-    The same loop body runs jitted or interpreted, so a given draw sequence
-    produces the same trajectory on either backend.
+    ``flips`` and ``us`` hold one entry per proposal and ``temps`` one
+    temperature per n proposals.  numba runs the loop `_sa_sweeps` jitted;
+    numpy runs the block scan `_sa_block_scan`.  Both compute every energy
+    change, acceptance test and energy update with the same operations in
+    the same order, so a given draw sequence produces the same trajectory
+    on either backend.  A flip index out of range raises ``IndexError``.
     """
     Q = np.ascontiguousarray(Q, dtype=np.float64)
     z = np.array(z0, dtype=np.int8)
     if active_backend() == "numba":
         best_z, best_e = _sa_sweeps_jit(Q, z, flips, us, temps)
     else:
-        best_z, best_e = _sa_sweeps(Q, z, flips, us, temps)
+        best_z, best_e = _sa_block_scan(Q, z, flips, us, temps)
     return np.asarray(best_z, dtype=np.int8), float(best_e)
 
 

@@ -313,7 +313,9 @@ def solve_sa(q: QuboInstance, schedule: SaSchedule | None = None, seed: int = 0)
     ``default_rng(seed + restart)``.  Each restart keeps the local field
     h = Qz, so a proposal costs O(1) and only an accepted flip pays an O(n)
     update (Isakov et al., "Optimised simulated annealing for Ising spin
-    glasses", arXiv:1401.1084).  Returns the best state visited across
+    glasses", arXiv:1401.1084).  On the numpy backend `accel.sa_run` scores the
+    rejected proposals between two accepted flips a block at a time, with
+    the loop's trajectory bit for bit.  Returns the best state visited across
     restarts; its incrementally tracked energy must agree with a full
     re-evaluation to within `sa_drift_bound`, or `NumericalIntegrityError`
     is raised.

@@ -16,9 +16,14 @@ blocks meet.
 `reference_sa_sweeps` below, the annealing loop that recomputes each row sum
 at O(n) per proposal: bit for bit on integer instances, and on float
 instances to the same best state and to within the derived drift bound.
+The numpy backend anneals with `_sa_block_scan`, which scores the proposals
+between two accepted flips at once; it must return `_sa_sweeps`' best state
+and best energy bit for bit, on float and integer instances alike, and the
+vectorized `np.exp` it calls must round as the loop's scalar `np.exp` does.
 """
 
 import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +92,19 @@ def reference_sa_sweeps(Q, z, flips, us, temps):
                 best_e = e
                 best_z[:] = z
     return best_z, best_e
+
+
+def same_double(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def assert_block_scan_matches_loop(Q, z0, flips, us, temps):
+    """`_sa_block_scan` returns `_sa_sweeps`' best state and best energy, bit for bit."""
+    z_ref, e_ref = accel._sa_sweeps(Q, np.array(z0, dtype=np.int8), flips, us, temps)
+    z, e = accel._sa_block_scan(Q, np.array(z0, dtype=np.int8), flips, us, temps)
+    np.testing.assert_array_equal(z, z_ref)
+    assert same_double(e, e_ref), (e, e_ref)
+    return z, e
 
 
 @pytest.fixture(
@@ -288,9 +306,9 @@ def test_numpy_scans_leave_no_reference_cycles(monkeypatch, budget):
 
 
 def test_sa_backends_agree_on_integer_instances(monkeypatch):
-    # the numpy backend already runs the interpreted `_sa_sweeps`, so the jitted
-    # copy is the only second path; integer matrices keep every energy update
-    # exact, so the trajectories must coincide step for step
+    # the jitted `_sa_sweeps` against the numpy backend's block scan; integer
+    # matrices keep every energy update exact, so the trajectories must
+    # coincide step for step
     pytest.importorskip("numba", reason=NO_NUMBA)
     rng = np.random.default_rng(72)
     for seed in range(5):
@@ -303,6 +321,142 @@ def test_sa_backends_agree_on_integer_instances(monkeypatch):
         r2 = solve_sa(q, sched, seed=seed)
         np.testing.assert_array_equal(r1.best.indicator, r2.best.indicator)
         assert r1.objective == r2.objective
+
+
+def test_sa_backends_agree_with_an_interpreted_stand_in(monkeypatch):
+    # stand in for numba with the interpreted loop body, so the numba-vs-numpy
+    # comparison runs without numba: "numba" runs `_sa_sweeps`, "numpy" the
+    # block scan, and float instances must agree bit for bit as well
+    monkeypatch.setattr(accel, "HAVE_NUMBA", True)
+    monkeypatch.setattr(accel, "_sa_sweeps_jit", accel._sa_sweeps, raising=False)
+    rng = np.random.default_rng(81)
+    for trial in range(6):
+        q = QuboInstance(random_symmetric(rng, 11, integers=trial % 2 == 0))
+        sched = SaSchedule(t_start=5.0, sweeps=60, restarts=2)
+        runs = []
+        for name in ("numba", "numpy"):
+            monkeypatch.setenv(accel.ENV_VAR, name)
+            runs.append(solve_sa(q, sched, seed=trial))
+        np.testing.assert_array_equal(runs[0].best.indicator, runs[1].best.indicator)
+        assert same_double(runs[0].objective, runs[1].objective)
+
+
+@pytest.mark.parametrize("blocks", [(accel.SA_BLOCK, accel.SA_BLOCK_MAX), (1, 2), (3, 7)])
+def test_block_scan_matches_loop_on_seeded_instances(monkeypatch, blocks):
+    # besides the module's block sizes, tiny ones make every stretch of
+    # rejections cross many block boundaries
+    monkeypatch.setattr(accel, "SA_BLOCK", blocks[0])
+    monkeypatch.setattr(accel, "SA_BLOCK_MAX", blocks[1])
+    rng = np.random.default_rng(82)
+    for trial in range(30):
+        n = int(rng.integers(1, 30))
+        sweeps = int(rng.integers(1, 80))
+        Q = random_symmetric(rng, n, integers=trial % 2 == 0)
+        z0 = rng.integers(0, 2, n)
+        flips = rng.integers(0, n, sweeps * n)
+        us = rng.random(sweeps * n)
+        temps = np.geomspace(float(rng.uniform(0.5, 20.0)), 1e-3, sweeps)
+        assert_block_scan_matches_loop(Q, z0, flips, us, temps)
+
+
+@pytest.mark.parametrize("seed", [11, 3])
+def test_block_scan_matches_loop_on_select_sa_programs(seed):
+    # kde programs of select_sa's shapes, folded at the default penalty and
+    # annealed from t_start = 2 lambda with solve_sa's draws
+    for i, n in enumerate([16, 48, 96]):
+        rng = np.random.default_rng([seed, i])
+        centres = rng.normal(scale=3.0, size=(4, 2))
+        X = centres[rng.integers(0, 4, n)] + rng.normal(size=(n, 2))
+        p = build_kde_qbp(kernel_matrix(RbfKernel(2.0), Dataset(X)), 2 + i % 3)
+        lam = sufficient_penalty(p)
+        Q = qbp_to_qubo(p, lam).matrix
+        sweeps = 200
+        temps = SaSchedule(t_start=2.0 * lam, sweeps=sweeps).temperatures()
+        for restart in range(2):
+            draws = np.random.default_rng(seed + restart)
+            z0 = draws.integers(0, 2, size=n).astype(np.int8)
+            flips = draws.integers(0, n, size=sweeps * n)
+            us = draws.random(sweeps * n)
+            assert_block_scan_matches_loop(Q, z0, flips, us, temps)
+
+
+def test_block_scan_on_one_point():
+    rng = np.random.default_rng(83)
+    for q in (-1.5, 0.0, 2.0):
+        for z0 in ([0], [1]):
+            temps = np.geomspace(3.0, 1e-3, 50)
+            assert_block_scan_matches_loop(np.array([[q]]), np.array(z0), np.zeros(50, np.int64),
+                                           rng.random(50), temps)
+
+
+def test_block_scan_on_all_accept_and_all_reject_streams():
+    rng = np.random.default_rng(84)
+    n, sweeps = 8, 2000  # long enough for the blocks to reach SA_BLOCK_MAX
+    assert sweeps * n > 3 * accel.SA_BLOCK_MAX
+    flips = rng.integers(0, n, sweeps * n)
+    us = rng.random(sweeps * n)
+    # a huge temperature accepts every proposal, so every block accepts its
+    # first one and the block size resets each time
+    Q = random_symmetric(rng, n, integers=True)
+    z0 = rng.integers(0, 2, n)
+    assert_block_scan_matches_loop(Q, z0, flips, us, np.full(sweeps, 1e300))
+    # every flip away from z = 0 costs energy, so a tiny temperature rejects
+    # every proposal and the blocks keep doubling
+    Q = np.diag(rng.uniform(1.0, 2.0, n))
+    z, e = assert_block_scan_matches_loop(Q, np.zeros(n), flips, us, np.full(sweeps, 1e-300))
+    assert not z.any() and e == 0.0
+
+
+def test_block_scan_applies_only_the_first_acceptance_of_a_block():
+    # bit 0 goes up downhill at t = 1; its second proposal at t = 2 reads the
+    # same stale energy change, but after the first flip it is uphill and must
+    # be rejected, so the later copies in the block are not applied
+    Q = np.array([[-1.0, 0.5], [0.5, 5.0]])
+    flips = np.array([1, 0, 0, 1, 0])
+    z, e = assert_block_scan_matches_loop(Q, np.zeros(2), flips, np.full(5, 0.5),
+                                          np.full(3, 1e-3))
+    np.testing.assert_array_equal(z, [1, 0])
+    assert e == -1.0
+
+
+def test_vectorized_exp_rounds_as_the_scalar_exp():
+    # The block scan calls np.exp on arrays of up to SA_BLOCK_MAX entries,
+    # where the loop calls it on one double; numpy picks its SIMD exp per CPU,
+    # so a host where the two round differently fails here rather than
+    # silently changing seeded trajectories.
+    rng = np.random.default_rng(85)
+    lengths = sorted({*range(1, 257), *range(257, 4096, 61),
+                      *(m + d for m in (512, 1024, 2048) for d in (-1, 0, 1)), 4095, 4096})
+    assert accel.SA_BLOCK_MAX <= 4096
+    for length in lengths:
+        buf = np.empty(length + 7)
+        x = buf[length % 8 : length % 8 + length]  # varied alignment
+        part = rng.integers(0, 4, length)
+        x[:] = np.select([part == 0, part == 1, part == 2],
+                         [rng.uniform(-1e3, 0.0, length),  # the whole range
+                          rng.uniform(-760.0, -700.0, length),  # subnormal results, underflow
+                          rng.uniform(-1.0, 0.0, length)],  # results near one
+                         -rng.exponential(20.0, length))
+        x[rng.integers(0, length)] = 0.0
+        scalar = np.array([np.exp(v) for v in x])
+        vector = np.exp(x)
+        np.testing.assert_array_equal(vector.view(np.int64), scalar.view(np.int64))
+        np.exp(x, out=x)
+        np.testing.assert_array_equal(x.view(np.int64), scalar.view(np.int64))
+
+
+def test_sa_run_warns_of_nothing_at_tiny_temperatures(monkeypatch):
+    # every proposal is strongly downhill, where -de / T overflows; the loop
+    # accepts without dividing, and the block scan must not warn either
+    monkeypatch.setenv(accel.ENV_VAR, "numpy")
+    n = 6
+    Q = np.diag(np.full(n, -1e10))
+    flips = np.arange(n)
+    with warnings.catch_warnings(), np.errstate(over="warn", divide="warn", invalid="warn"):
+        warnings.simplefilter("error")
+        z, e = accel.sa_run(Q, np.zeros(n, np.int8), flips, np.full(n, 0.5), np.array([1e-300]))
+        assert_block_scan_matches_loop(Q, np.zeros(n), flips, np.full(n, 0.5), np.array([1e-300]))
+    assert z.all() and e == -6e10
 
 
 def test_sa_local_field_matches_reference_loop(monkeypatch):

@@ -101,6 +101,12 @@ def cases(work: Path) -> list:
             for n, d in ((48, 8), (40, 17), (30, 40))}
     long_field = work / "long.csv"
     long_field.write_text("1" * 140000 + ",1\n")
+    # drawn after every other input: select_sa's largest shape (n = 96, k = 4),
+    # and an integer-valued positive definite kernel (a Gram matrix of 0/1
+    # vectors plus the identity) on the 12-point grid, where energy changes tie
+    sa96 = _write_csv(work / "n96.csv", _clustered(rng, 96, 2))
+    bits = rng.integers(0, 2, size=(12, 4))
+    int_kernel = _write_csv(work / "k12int.csv", (bits @ bits.T + np.eye(12)).astype(float))
 
     out = []
     for kernel in ("rbf:2.0", "laplacian:1.5"):
@@ -192,6 +198,12 @@ def cases(work: Path) -> list:
         for kernel in ([], ["--kernel", f"rbf:{2 * d}"]):
             out.append(["baseline", "--input", csv, "--k", "3", "--seed", "2", *kernel])
     out.append(["select", "--input", str(long_field), "--k", "1"])
+    # the annealer: select_sa's largest shape, integer energies, and one point
+    out.append(["select", "--input", sa96, "--k", "4", "--solver", "sa", "--sweeps", "200",
+                "--restarts", "4", "--seed", "11"])
+    out.append(["select", "--input", grid, "--k", "3", "--kernel", f"precomputed:{int_kernel}",
+                "--solver", "sa", "--sweeps", "100", "--restarts", "2", "--seed", "3"])
+    out.append(["select", "--input", single, "--k", "1", "--solver", "sa"])
     return out
 
 
