@@ -6,11 +6,12 @@ machine:
 * exhaustive scan over all 2^n states in split halves: the energies of the
   low and the high half-states are computed once, and each block of high
   halves meets every low half in one matrix product for the cross term,
-* scan over all k-subsets in colex order by prefix energies: a colex table of
-  the bottom j-subsets and their energies, built level by level from the
-  table below, is scored against each choice of the top k - j elements,
-  which an outer colex loop fixes; j is the largest that keeps the table
-  within a fixed row budget,
+* scan over all k-subsets in colex order by prefix energies: one step adds a
+  top element m to every j-subset below m in a colex table of j-subsets; it
+  builds the table of (k-1)-subsets level by level from the empty set, and
+  then scores each top element against that table without storing the
+  k-subsets, so the scanned energies are a full k-level table's whatever
+  the memory constants,
 * simulated-annealing sweeps, on the backend the ``PROTOQUBO_BACKEND``
   environment variable names (``auto``, the default: numba when importable;
   ``numba``; ``numpy``).  Each restart keeps the local field h = Qz, so a
@@ -45,8 +46,9 @@ except ImportError:  # pragma: no cover - numba is optional (the "fast" extra)
 
 ENV_VAR = "PROTOQUBO_BACKEND"
 
-# Working-memory budget of the numpy scans: energies held at once (one block of
-# the 2^n scan, or the k-subset table), and rows per gather.
+# Working memory of the numpy scans: energies held at once in one block of the
+# 2^n scan, and rows per gather of the k-subset scan's row sums.  Neither
+# changes an answer.
 SCAN_ENERGIES = 1 << 20
 GATHER_ROWS = 1 << 15
 
@@ -187,84 +189,59 @@ def _constrained_colex(A, b, k):
 
 def _colex_table(A: np.ndarray, b: np.ndarray, j: int, N: int):
     # All j-subsets of range(N) in colex order, as rows of narrow indices, with
-    # their energies.  The subsets with largest element m are the first C(m, i-1)
-    # rows of the (i-1)-level table with m appended, so each level is built
-    # from the prefix energies of the level below.
+    # their energies, built level by level from the empty set: the i-subsets
+    # with largest element m are the first C(m, i-1) rows of level i - 1 with m
+    # added.  Level i holds only the i-subsets of range(N - j + i).
     dtype = np.min_scalar_type(max(N - 1, 0))
-    n1 = N - j + 1  # level i holds the i-subsets of range(n1 + i - 1)
-    T = np.arange(n1, dtype=dtype)[:, None]
-    E = np.diag(A)[:n1] + b[:n1]
-    for i in range(2, j + 1):
-        rows = math.comb(n1 + i - 1, i)
+    T, E = np.empty((1, 0), dtype=dtype), np.zeros(1)
+    for i in range(1, j + 1):
+        rows = math.comb(N - j + i, i)
         T_next = np.empty((rows, i), dtype=dtype)
         E_next = np.empty(rows)
         r = 0
-        for m in range(i - 1, n1 + i - 1):
+        for m in range(i - 1, N - j + i):
             c = math.comb(m, i - 1)
             T_next[r : r + c, :-1] = T[:c]
             T_next[r : r + c, -1] = m
-            E_next[r : r + c] = E[:c] + (A[m, m] + b[m])
-            _add_row_sums(E_next[r : r + c], 2.0 * A[m], T[:c])
+            _add_top(A, b, T, E, m, out=E_next[r : r + c])
             r += c
         T, E = T_next, E_next
     return T, E
 
 
-def _add_row_sums(out: np.ndarray, w: np.ndarray, T: np.ndarray) -> None:
-    # out += w[T].sum(axis=1), gathered a bounded block of rows at a time
-    for r in range(0, T.shape[0], GATHER_ROWS):
-        out[r : r + GATHER_ROWS] += w[T[r : r + GATHER_ROWS]].sum(axis=1)
-
-
-def _constrained_prefix(A: np.ndarray, b: np.ndarray, k: int) -> tuple[list, float]:
-    # The k-subsets in colex order are the top t elements, fixed one at a time
-    # in an outer colex loop (largest first), over the j = k - t bottom elements
-    # drawn from one colex table, where t is the fewest tops that keep the table
-    # within SCAN_ENERGIES rows.
-    n = b.shape[0]
-    j = k
-    while j > 1 and math.comb(n - (k - j), j) > SCAN_ENERGIES:
-        j -= 1
-    T, E = _colex_table(A, b, j, n - (k - j))
-    best_c, best_e = None, np.inf
-    for u, tops, offset, w in _colex_tops(A, b, j, k - j, n, (), 0.0, np.zeros(n)):
-        rows = math.comb(u, j)
-        for r0 in range(0, rows, GATHER_ROWS):
-            e = E[r0 : min(rows, r0 + GATHER_ROWS)] + offset
-            if tops:
-                _add_row_sums(e, w, T[r0 : r0 + e.shape[0]])
-            i = int(np.argmin(e))  # first minimum: colex-first in the block
-            if e[i] < best_e:
-                best_c, best_e = [*T[r0 + i].tolist(), *reversed(tops)], float(e[i])
-    return best_c, best_e
-
-
-def _colex_tops(A, b, j, t, u, tops, offset, w):
-    # Every way to fix t more top elements below u, largest first, in colex
-    # order, as (bound of the bottom elements, tops, energy of the tops, w)
-    # with w[p] = 2 * sum of A[p, q] over the tops q.  A module-level
-    # generator rather than a recursive closure: a closure that calls itself
-    # is a reference cycle, which would keep the table alive after the scan
-    # until the cyclic collector happens to run.
-    if t == 0:
-        yield u, tops, offset, w
-        return
-    for m in range(j + t - 1, u):
-        yield from _colex_tops(A, b, j, t - 1, m, (*tops, m),
-                               offset + A[m, m] + b[m] + w[m], w[:m] + 2.0 * A[m, :m])
+def _add_top(A, b, T, E, m, out=None):
+    # Energies of the first c = C(m, j) rows of the j-level table (T, E), the
+    # j-subsets below m, with m added: E + A_mm + b_m + sum of 2 A_mp over the
+    # row, the sums gathered a bounded block of rows at a time
+    c = math.comb(m, T.shape[1])
+    out = np.add(E[:c], A[m, m] + b[m], out=out)
+    if T.shape[1]:
+        w = 2.0 * A[m]
+        for r in range(0, c, GATHER_ROWS):
+            out[r : r + GATHER_ROWS] += w[T[r : min(c, r + GATHER_ROWS)]].sum(axis=1)
+    return out
 
 
 def constrained_best(A: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     """Scan all k-subsets; return (sorted index array, scanned energy).
 
-    Colex enumeration order equals little-endian integer order of the
-    indicator vectors, so a strict-improvement scan realizes the same
-    tie-break as `exhaustive_best`.
+    Each top element m meets every (k-1)-subset below it, from one colex
+    table of the (k-1)-subsets of range(n - 1); the energies are those a
+    full k-level table would hold.  Colex enumeration order equals
+    little-endian integer order of the indicator vectors, so a
+    strict-improvement scan realizes the same tie-break as `exhaustive_best`.
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
-    idx, energy = _constrained_prefix(A, b, k)
-    return np.asarray(idx, dtype=np.int64), float(energy)
+    n = b.shape[0]
+    T, E = _colex_table(A, b, k - 1, n - 1)
+    best_c, best_e = None, np.inf
+    for m in range(k - 1, n):
+        e = _add_top(A, b, T, E, m)
+        i = int(np.argmin(e))  # first minimum: colex-first of the subsets topped by m
+        if e[i] < best_e:
+            best_c, best_e = [*T[i].tolist(), m], float(e[i])
+    return np.asarray(best_c, dtype=np.int64), float(best_e)
 
 
 # --------------------------------------------------------------------------

@@ -202,8 +202,8 @@ def test_constrained_backends_agree():
 
 
 def test_scans_agree_across_small_blocks(monkeypatch):
-    # budgets of a few rows make every scan cross many block boundaries and
-    # fix several top elements in the outer colex loop
+    # budgets of a few rows make the 2^n scan cross many block boundaries and
+    # the k-subset scan gather its row sums a few rows at a time
     monkeypatch.setattr(accel, "SCAN_ENERGIES", 7)
     monkeypatch.setattr(accel, "GATHER_ROWS", 3)
     rng = np.random.default_rng(75)
@@ -220,6 +220,50 @@ def test_scans_agree_across_small_blocks(monkeypatch):
         c, e = accel.constrained_best(A, b, k)
         np.testing.assert_array_equal(c, c0)
         assert e == e0
+
+
+def tied_grid_program(rng, n, k):
+    # a kde program over points of a 4 x 4 integer grid: duplicate points make
+    # subsets tie exactly, so the computed energies decide between them
+    points = rng.integers(0, 4, size=(n, 2)).astype(float)
+    p = build_kde_qbp(kernel_matrix(RbfKernel(2.0), Dataset(points)), k)
+    return p.quadratic, p.linear
+
+
+def test_constrained_scan_ignores_the_scan_budget(monkeypatch):
+    # neither memory constant may decide which of two tied subsets wins
+    rng = np.random.default_rng(82)
+    for trial in range(12):
+        n, k = int(rng.integers(9, 16)), int(rng.integers(3, 6))
+        A, b = tied_grid_program(rng, n, k)
+        results = set()
+        for budget in (3, accel.SCAN_ENERGIES):
+            for gather in (3, accel.GATHER_ROWS):
+                with monkeypatch.context() as m:
+                    m.setattr(accel, "SCAN_ENERGIES", budget)
+                    m.setattr(accel, "GATHER_ROWS", gather)
+                    c, e = accel.constrained_best(A, b, k)
+                results.add((tuple(c.tolist()), float(e).hex()))
+        assert len(results) == 1, (n, k, results)
+
+
+def test_constrained_scan_is_the_full_tables_first_minimum():
+    # the scan's energies are those of the full k-level colex table, bit for
+    # bit, and its answer is that table's first minimum
+    rng = np.random.default_rng(83)
+    shapes = [(1, 1), (7, 1), (7, 7), (9, 3), (12, 5), (14, 4), (16, 8)]
+    for n, k in shapes:
+        for kind in ("float", "integer", "tied"):
+            if kind == "tied":
+                A, b = tied_grid_program(rng, n, k)
+            else:
+                A = random_symmetric(rng, n, integers=kind == "integer")
+                b = rng.integers(-4, 5, n).astype(float) if kind == "integer" else rng.normal(size=n)
+            T, E = accel._colex_table(A, b, k, n)
+            i = int(np.argmin(E))
+            c, e = accel.constrained_best(A, b, k)
+            np.testing.assert_array_equal(c, T[i].astype(np.int64))
+            assert float(e).hex() == float(E[i]).hex(), (n, k, kind)
 
 
 @pytest.mark.parametrize("n", [17, 20, 23, 24])
@@ -289,8 +333,8 @@ def test_exhaustive_edge_shapes(n):
 def test_numpy_scans_leave_no_reference_cycles(monkeypatch, budget):
     # A scan whose tables sit in a reference cycle stays resident until the
     # cyclic collector happens to run, so the peak memory of a run of scans
-    # would depend on the collector's timing.  The small budget makes the
-    # k-subset scan fix top elements in its outer loop.
+    # would depend on the collector's timing.  The small budget splits the
+    # 2^n scan into many blocks.
     monkeypatch.setattr(accel, "SCAN_ENERGIES", budget)
     rng = np.random.default_rng(80)
     A = random_symmetric(rng, 12)

@@ -107,6 +107,11 @@ def cases(work: Path) -> list:
     sa96 = _write_csv(work / "n96.csv", _clustered(rng, 96, 2))
     bits = rng.integers(0, 2, size=(12, 4))
     int_kernel = _write_csv(work / "k12int.csv", (bits @ bits.T + np.eye(12)).astype(float))
+    # drawn after every other input: the k-subset scan at (24, 12), where its
+    # (k-1)-subset table exceeds 2^20 rows, on float points and on a 3 x 3
+    # integer grid whose duplicate points tie
+    scan24 = _write_csv(work / "n24k12.csv", _clustered(rng, 24, 2))
+    grid24 = _write_csv(work / "grid24.csv", rng.integers(0, 3, size=(24, 2)).astype(float))
 
     out = []
     for kernel in ("rbf:2.0", "laplacian:1.5"):
@@ -204,6 +209,9 @@ def cases(work: Path) -> list:
     out.append(["select", "--input", grid, "--k", "3", "--kernel", f"precomputed:{int_kernel}",
                 "--solver", "sa", "--sweeps", "100", "--restarts", "2", "--seed", "3"])
     out.append(["select", "--input", single, "--k", "1", "--solver", "sa"])
+    for csv in (scan24, grid24):
+        out.append(["select", "--input", csv, "--k", "12", "--formulation", "kde",
+                    "--solver", "constrained"])
     return out
 
 
