@@ -11,7 +11,9 @@ machine:
   builds the table of (k-1)-subsets level by level from the empty set, and
   then scores each top element against that table without storing the
   k-subsets, so the scanned energies are a full k-level table's whatever
-  the memory constants,
+  the memory constants; a lower bound on the top's row sums, with a margin
+  derived from the rounding, skips the table rows that cannot reach the
+  best so far, and so cannot change the answer,
 * simulated-annealing sweeps, on the backend the ``PROTOQUBO_BACKEND``
   environment variable names (``auto``, the default: numba when importable;
   ``numba``; ``numpy``).  Each restart keeps the local field h = Qz, so a
@@ -47,8 +49,8 @@ except ImportError:  # pragma: no cover - numba is optional (the "fast" extra)
 ENV_VAR = "PROTOQUBO_BACKEND"
 
 # Working memory of the numpy scans: energies held at once in one block of the
-# 2^n scan, and rows per gather of the k-subset scan's row sums.  Neither
-# changes an answer.
+# 2^n scan, and table rows per block of the k-subset scan.  Neither changes an
+# answer.
 SCAN_ENERGIES = 1 << 20
 GATHER_ROWS = 1 << 15
 
@@ -189,12 +191,15 @@ def _constrained_colex(A, b, k):
 
 def _colex_table(A: np.ndarray, b: np.ndarray, j: int, N: int):
     # All j-subsets of range(N) in colex order, as rows of narrow indices, with
-    # their energies, built level by level from the empty set: the i-subsets
-    # with largest element m are the first C(m, i-1) rows of level i - 1 with m
-    # added.  Level i holds only the i-subsets of range(N - j + i).
+    # their energies, j >= 1.  Level 1 is one numpy step, the empty set's
+    # energy 0.0 plus A_mm + b_m; each further level i takes the first
+    # C(m, i-1) rows of level i - 1 with m added, for every m.  Level i holds
+    # only the i-subsets of range(N - j + i).
     dtype = np.min_scalar_type(max(N - 1, 0))
-    T, E = np.empty((1, 0), dtype=dtype), np.zeros(1)
-    for i in range(1, j + 1):
+    top = N - j + 1
+    c0 = A.diagonal() + b
+    T, E = np.arange(top, dtype=dtype)[:, None], 0.0 + c0[:top]
+    for i in range(2, j + 1):
         rows = math.comb(N - j + i, i)
         T_next = np.empty((rows, i), dtype=dtype)
         E_next = np.empty(rows)
@@ -203,22 +208,26 @@ def _colex_table(A: np.ndarray, b: np.ndarray, j: int, N: int):
             c = math.comb(m, i - 1)
             T_next[r : r + c, :-1] = T[:c]
             T_next[r : r + c, -1] = m
-            _add_top(A, b, T, E, m, out=E_next[r : r + c])
+            w = 2.0 * A[m, :m]
+            for block in _blocks(c):
+                _add_top(w, c0[m], T, E, block, out=E_next[r:][block])
             r += c
         T, E = T_next, E_next
     return T, E
 
 
-def _add_top(A, b, T, E, m, out=None):
-    # Energies of the first c = C(m, j) rows of the j-level table (T, E), the
-    # j-subsets below m, with m added: E + A_mm + b_m + sum of 2 A_mp over the
-    # row, the sums gathered a bounded block of rows at a time
-    c = math.comb(m, T.shape[1])
-    out = np.add(E[:c], A[m, m] + b[m], out=out)
-    if T.shape[1]:
-        w = 2.0 * A[m]
-        for r in range(0, c, GATHER_ROWS):
-            out[r : r + GATHER_ROWS] += w[T[r : min(c, r + GATHER_ROWS)]].sum(axis=1)
+def _blocks(c):
+    # the first c rows of a table, as slices of at most GATHER_ROWS rows
+    return (slice(r, min(c, r + GATHER_ROWS)) for r in range(0, c, GATHER_ROWS))
+
+
+def _add_top(w, c0, T, E, rows, out=None):
+    # Energies of the j-subsets at `rows` (a slice or an index array) of the
+    # j-level table (T, E), all below a top element m, with m added:
+    # E + (A_mm + b_m) + the sum of w = 2 A[m, :m] over the row.  A row's
+    # energy is the same double whichever rows it is scored with.
+    out = np.add(E[rows], c0, out=out)
+    out += w[T[rows]].sum(axis=1)
     return out
 
 
@@ -230,17 +239,80 @@ def constrained_best(A: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, 
     full k-level table would hold.  Colex enumeration order equals
     little-endian integer order of the indicator vectors, so a
     strict-improvement scan realizes the same tie-break as `exhaustive_best`.
+    k = 1 is one numpy step over the table of 1-subsets.
+
+    The scan is bounded (Pardalos & Rodgers, Computing 45, 1990).  Before
+    each top m it sets a threshold t, skips the top when every table row
+    below m has E_r > t, scores only the rows with E_r <= t, and scores them
+    as slices when none is above t.  Every skipped row's computed energy is
+    strictly above the best so far, so it could neither replace the best nor
+    be a first minimum below it: the subset and the energy bits are the full
+    scan's, ties included.  Nothing is skipped while the best is infinite,
+    so the worst case is the full scan plus two reductions of A[m, :m] and
+    a comparison per top.
+
+    With j = k - 1, w = 2 A[m, :m], lo = min w, c0 = A_mm + b_m and M the
+    largest |E| in the table,
+    ``sigma = M + |c0| + j max |w| + |best|`` and
+    ``t = best - c0 - j lo + 2(j + 7) ulp(sigma)``, each evaluated left to
+    right, t only where 4 sigma is finite, so that no intermediate below
+    overflows.  Proof that E_r >= t gives a computed energy above the best.
+    Write u = 2**-53 and g(i) = i*u / (1 - i*u).  Doubling is exact; an
+    addition rounds to within u of its result (exactly, for a subnormal
+    one), and so does a product by the positive integer j, as j x is a
+    multiple of the least subnormal whenever it is subnormal; a sum of
+    i + 1 terms in any order lies within g(i) times their absolute sum of
+    the exact one.  n u <= 0.001 for any n that fits in memory, so
+    g(i) <= 1.002 i u for every i below.  Let W = j max |w| and
+    S = M + |c0| + W + |best|, exactly.
+
+    * The row's energy fl(fl(E_r + c0) + s_r), with s_r the computed sum of
+      the row's j entries of w, lies within g(2)(M + |c0|) + g(j) W of
+      E_r + c0 + S_r, and the exact sum S_r is at least j lo, which the
+      computed fl(j lo) is within u W of.
+    * t lies within g(3)(|best| + |c0| + (1 + u) W + delta) of
+      best - c0 - fl(j lo) + delta, delta = 2(j + 7) ulp(sigma).
+    * So E_r >= t gives an energy of at least best + delta (1 - g(3)) - e,
+      e <= (g(4) + g(2) + g(1) + g(j)) S <= 1.002 (j + 7) u S.
+    * ulp(x) >= u x and the computed sigma is at least (1 - g(4)) S, so
+      delta (1 - g(3)) >= 2 * 0.999 (j + 7) u S, which exceeds e, or is
+      positive while e = 0 when S = 0.
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     n = b.shape[0]
-    T, E = _colex_table(A, b, k - 1, n - 1)
-    best_c, best_e = None, np.inf
-    for m in range(k - 1, n):
-        e = _add_top(A, b, T, E, m)
-        i = int(np.argmin(e))  # first minimum: colex-first of the subsets topped by m
-        if e[i] < best_e:
-            best_c, best_e = [*T[i].tolist(), m], float(e[i])
+    j = k - 1
+    if j == 0:
+        T, E = _colex_table(A, b, 1, n)
+        i = int(np.argmin(E))
+        return T[i].astype(np.int64), float(E[i])
+    T, E = _colex_table(A, b, j, n - 1)
+    # the least and the greatest energy of the table rows below each top
+    ends = [math.comb(m, j) for m in range(j, n)]
+    starts = [0, *ends[:-1]]
+    floors = np.minimum.accumulate(np.minimum.reduceat(E, starts)).tolist()
+    ceilings = np.maximum.accumulate(np.maximum.reduceat(E, starts)).tolist()
+    M = max(ceilings[-1], -floors[-1])
+    c0s = (A.diagonal() + b).tolist()
+    best_c, best_e = None, math.inf
+    for m, c, floor, ceiling in zip(range(j, n), ends, floors, ceilings):
+        c0, row = c0s[m], A[m, :m]
+        lo, hi = 2.0 * float(row.min()), 2.0 * float(row.max())
+        sigma = M + abs(c0) + j * max(hi, -lo) + abs(best_e)
+        t = math.inf
+        if math.isfinite(4.0 * sigma):
+            t = best_e - c0 - j * lo + 2 * (j + 7) * math.ulp(sigma)
+            if floor > t:
+                continue
+        w = 2.0 * row
+        for rows in _blocks(c):
+            if ceiling > t:
+                rows = rows.start + np.flatnonzero(E[rows] <= t)
+            e = _add_top(w, c0, T, E, rows)
+            if e.size:
+                i = int(np.argmin(e))  # first minimum: colex-first of these rows
+                if e[i] < best_e:
+                    best_c, best_e = [*T[rows][i].tolist(), m], float(e[i])
     return np.asarray(best_c, dtype=np.int64), float(best_e)
 
 

@@ -23,6 +23,7 @@ vectorized `np.exp` it calls must round as the loop's scalar `np.exp` does.
 """
 
 import gc
+import math
 import warnings
 
 import numpy as np
@@ -36,12 +37,14 @@ from protoqubo import (
     RbfKernel,
     SaSchedule,
     build_kde_qbp,
+    build_med_qbp,
     kernel_matrix,
     qbp_to_qubo,
     solve_sa,
     sufficient_penalty,
 )
 from protoqubo import accel
+from protoqubo.kernels import kernel_to_distance
 from protoqubo.qubo import sa_drift_bound
 
 NO_NUMBA = "numba not importable"
@@ -247,6 +250,20 @@ def test_constrained_scan_ignores_the_scan_budget(monkeypatch):
         assert len(results) == 1, (n, k, results)
 
 
+def assert_scan_is_the_tables_first_minimum(A, b, k, colex=False):
+    # the bounded scan against the full k-level table, and, where the sums
+    # are exact in every order of additions, against the interpreted loop
+    T, E = accel._colex_table(A, b, k, len(b))
+    i = int(np.argmin(E))
+    c, e = accel.constrained_best(A, b, k)
+    np.testing.assert_array_equal(c, T[i].astype(np.int64))
+    assert same_double(e, E[i]), (e, E[i])
+    if colex:
+        c0, e0 = accel._constrained_colex(A, b, k)
+        np.testing.assert_array_equal(c, c0)
+        assert same_double(e, e0), (e, e0)
+
+
 def test_constrained_scan_is_the_full_tables_first_minimum():
     # the scan's energies are those of the full k-level colex table, bit for
     # bit, and its answer is that table's first minimum
@@ -259,11 +276,103 @@ def test_constrained_scan_is_the_full_tables_first_minimum():
             else:
                 A = random_symmetric(rng, n, integers=kind == "integer")
                 b = rng.integers(-4, 5, n).astype(float) if kind == "integer" else rng.normal(size=n)
-            T, E = accel._colex_table(A, b, k, n)
-            i = int(np.argmin(E))
-            c, e = accel.constrained_best(A, b, k)
-            np.testing.assert_array_equal(c, T[i].astype(np.int64))
-            assert float(e).hex() == float(E[i]).hex(), (n, k, kind)
+            assert_scan_is_the_tables_first_minimum(A, b, k)
+
+
+@pytest.mark.parametrize("scale", [2.0**-60, 1.0, 2.0**60])
+def test_bounded_scan_keeps_an_answer_decided_by_rounding(scale):
+    # {1, 2} has the exact energy 0.5 but computes to 0.0, below the 0.25 of
+    # {0, 1}: 0.5 + 2^53 rounds to 2^53.  Without the rounding margin the
+    # threshold of top 2 is fl(fl(0.25 - 2^53) + 2^53) = 0, below the table
+    # energy 0.5 of {1}, and that row would be skipped.
+    A = scale * np.array([[0.0, -0.125, 0.0],
+                          [-0.125, 0.5, -2.0**52],
+                          [0.0, -2.0**52, 2.0**53]])
+    assert_scan_is_the_tables_first_minimum(A, np.zeros(3), 2, colex=True)
+    c, e = accel.constrained_best(A, np.zeros(3), 2)
+    np.testing.assert_array_equal(c, [1, 2])
+    assert e == 0.0
+
+
+def near_tied_grid_program(seed):
+    # a kde or med program over points of a 3 x 3 integer grid, spaced and
+    # smoothed at random: duplicate and mirrored points tie exactly, and the
+    # computed energies of tied subsets differ by an ulp or two
+    rng = np.random.default_rng(seed)
+    n, k, form = int(rng.integers(4, 13)), int(rng.integers(2, 4)), int(rng.integers(2))
+    points = rng.integers(0, 3, size=(n, 2)) * rng.uniform(0.5, 3)
+    K = kernel_matrix(RbfKernel(rng.uniform(0.5, 3)), Dataset(points))
+    p = build_med_qbp(kernel_to_distance(K), 2.0 * k / n, k) if form else build_kde_qbp(K, k)
+    return p.quadratic, p.linear, k
+
+
+# seeds of `near_tied_grid_program` whose answer is a tied subset that
+# computes one ulp below its twin, and which a cut without the rounding
+# margin loses (1 in about 4000 seeds); `_constrained_colex` adds in another
+# order, so on these floats the full table is the reference
+NEAR_TIE_SEEDS = [1644, 8357, 18569, 26794, 29877, 33874, 39020, 58305]
+
+
+@pytest.mark.parametrize("seed", NEAR_TIE_SEEDS)
+def test_bounded_scan_on_near_tied_grid_programs(seed):
+    assert_scan_is_the_tables_first_minimum(*near_tied_grid_program(seed))
+
+
+def test_bounded_scan_on_dyadic_near_ties():
+    # one off-diagonal value, so every row's sum of 2 A_mp equals the bound's
+    # least sum, and diagonals and b on a grid of 2^-48 below 32 in size:
+    # every sum is exact, so the loop and the table agree, and the rows the
+    # bound skips lie 60 to 1600 ulps of the best above it
+    rng = np.random.default_rng(85)
+    for trial in range(40):
+        n = int(rng.integers(2, 11))
+        k = int(rng.integers(1, min(n, 4) + 1))
+        A = np.full((n, n), float(rng.integers(-1, 2)))
+        np.fill_diagonal(A, rng.integers(-1, 2, n) + rng.integers(-64, 65, n) * 2.0**-48)
+        b = rng.integers(-2, 3, n) + rng.integers(-64, 65, n) * 2.0**-48
+        assert_scan_is_the_tables_first_minimum(A, b, k, colex=True)
+
+
+def test_bounded_scan_on_med_programs_and_edge_shapes():
+    # med programs have entries <= 0, so the bound's least entry is negative;
+    # k = 1 and k = n have one table level; constant programs tie everywhere
+    rng = np.random.default_rng(86)
+    for n, k in [(1, 1), (9, 1), (9, 9), (12, 11), (13, 3), (14, 5)]:
+        centres = rng.normal(scale=3.0, size=(3, 2))
+        points = centres[rng.integers(0, 3, n)] + rng.normal(size=(n, 2))
+        D = kernel_to_distance(kernel_matrix(RbfKernel(2.0), Dataset(points)))
+        p = build_med_qbp(D, 2.0 * k / n, k)
+        assert_scan_is_the_tables_first_minimum(p.quadratic, p.linear, k, colex=k == 1)
+        for value in (-1.5, 0.0, 2.0):
+            A, b = np.full((n, n), value), np.full(n, -value)
+            assert_scan_is_the_tables_first_minimum(A, b, k, colex=True)
+            np.testing.assert_array_equal(accel.constrained_best(A, b, k)[0], np.arange(k))
+
+
+def test_bounded_scan_skips_rows(monkeypatch):
+    # the rows the scan scores (the table build passes `out`) on a clustered
+    # (40, 5) kde program, and on the same program with a last element that
+    # every other element pulls down: a bound over all of A[m] instead of the
+    # entries below m would then skip nothing below that last top
+    rng = np.random.default_rng(84)
+    centres = rng.normal(scale=3.0, size=(4, 2))
+    points = centres[rng.integers(0, 4, 40)] + rng.normal(size=(40, 2))
+    p = build_kde_qbp(kernel_matrix(RbfKernel(2.0), Dataset(points)), 5)
+    pulled = p.quadratic.copy()
+    pulled[-1, :-1] = pulled[:-1, -1] = -1.0
+    add_top = accel._add_top
+    for A in (p.quadratic, pulled):
+        scored = []
+
+        def counting(*args, out=None):
+            e = add_top(*args, out=out)
+            if out is None:
+                scored.append(len(e))
+            return e
+
+        monkeypatch.setattr(accel, "_add_top", counting)
+        assert_scan_is_the_tables_first_minimum(A, p.linear, 5)
+        assert sum(scored) < math.comb(40, 5) / 4
 
 
 @pytest.mark.parametrize("n", [17, 20, 23, 24])

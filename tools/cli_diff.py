@@ -112,6 +112,12 @@ def cases(work: Path) -> list:
     # integer grid whose duplicate points tie
     scan24 = _write_csv(work / "n24k12.csv", _clustered(rng, 24, 2))
     grid24 = _write_csv(work / "grid24.csv", rng.integers(0, 3, size=(24, 2)).astype(float))
+    # drawn after every other input: select_exact's k-subset shapes, where the
+    # scan skips most rows, and a 3 x 3 integer grid at (30, 4) whose duplicate
+    # points tie
+    exact = [(_write_csv(work / f"n{n}k{k}.csv", _clustered(rng, n, 2)), k)
+             for n, k in ((40, 5), (64, 4), (100, 3))]
+    grid30 = _write_csv(work / "grid30.csv", rng.integers(0, 3, size=(30, 2)).astype(float))
 
     out = []
     for kernel in ("rbf:2.0", "laplacian:1.5"):
@@ -212,6 +218,10 @@ def cases(work: Path) -> list:
     for csv in (scan24, grid24):
         out.append(["select", "--input", csv, "--k", "12", "--formulation", "kde",
                     "--solver", "constrained"])
+    for csv, k in (*exact, (grid30, 4)):
+        for form in ("med", "kde"):
+            out.append(["select", "--input", csv, "--k", str(k), "--formulation", form,
+                        "--solver", "constrained"])
     return out
 
 
