@@ -11,9 +11,9 @@ machine:
   builds the table of (k-1)-subsets level by level from the empty set, and
   then scores each top element against that table without storing the
   k-subsets, so the scanned energies are a full k-level table's whatever
-  the memory constants; a lower bound on the top's row sums, with a margin
-  derived from the rounding, skips the table rows that cannot reach the
-  best so far, and so cannot change the answer,
+  the memory constants; a lower bound on each row's energy, computed by
+  the same additions, skips the table rows that compute above the best so
+  far, and so cannot change the answer,
 * simulated-annealing sweeps, on the backend the ``PROTOQUBO_BACKEND``
   environment variable names (``auto``, the default: numba when importable;
   ``numba``; ``numpy``).  Each restart keeps the local field h = Qz, so a
@@ -231,6 +231,7 @@ def _add_top(w, c0, T, E, rows, out=None):
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def constrained_best(A: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     """Scan all k-subsets; return (sorted index array, scanned energy).
 
@@ -241,42 +242,25 @@ def constrained_best(A: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, 
     strict-improvement scan realizes the same tie-break as `exhaustive_best`.
     k = 1 is one numpy step over the table of 1-subsets.
 
-    The scan is bounded (Pardalos & Rodgers, Computing 45, 1990).  Before
-    each top m it sets a threshold t, skips the top when every table row
-    below m has E_r > t, scores only the rows with E_r <= t, and scores them
-    as slices when none is above t.  Every skipped row's computed energy is
-    strictly above the best so far, so it could neither replace the best nor
-    be a first minimum below it: the subset and the energy bits are the full
-    scan's, ties included.  Nothing is skipped while the best is infinite,
-    so the worst case is the full scan plus two reductions of A[m, :m] and
-    a comparison per top.
+    The scan is bounded (Pardalos & Rodgers, Computing 45, 1990).  With
+    j = k - 1, c0 = A_mm + b_m and w = 2 A[m, :m], row r below m computes
+    to fl(fl(E_r + c0) + s_r), s_r numpy's sum of the row's j entries of w,
+    and is bounded by fl(fl(E_r + c0) + least), least the same sum of j
+    copies of lo = min w.  numpy adds each row of one width in one order
+    (tests/test_backends.py checks it) and rounding never reverses an
+    order, so no row computes below its bound, nor below the bound taken
+    with the least table energy below m.  The scan skips a top or row
+    bounded above the current best, which could neither replace the best
+    nor be a first minimum below it, and scores a block as a slice when
+    the greatest table energy below m is bounded at most the best: the
+    subset and the energy bits are the full scan's, ties included.  While
+    the best is infinite nothing is skipped; the worst case is the full
+    scan plus a minimum of A[m, :m] and a few comparisons per top.
 
-    With j = k - 1, w = 2 A[m, :m], lo = min w, c0 = A_mm + b_m and M the
-    largest |E| in the table,
-    ``sigma = M + |c0| + j max |w| + |best|`` and
-    ``t = best - c0 - j lo + 2(j + 7) ulp(sigma)``, each evaluated left to
-    right, t only where 4 sigma is finite, so that no intermediate below
-    overflows.  Proof that E_r >= t gives a computed energy above the best.
-    Write u = 2**-53 and g(i) = i*u / (1 - i*u).  Doubling is exact; an
-    addition rounds to within u of its result (exactly, for a subnormal
-    one), and so does a product by the positive integer j, as j x is a
-    multiple of the least subnormal whenever it is subnormal; a sum of
-    i + 1 terms in any order lies within g(i) times their absolute sum of
-    the exact one.  n u <= 0.001 for any n that fits in memory, so
-    g(i) <= 1.002 i u for every i below.  Let W = j max |w| and
-    S = M + |c0| + W + |best|, exactly.
-
-    * The row's energy fl(fl(E_r + c0) + s_r), with s_r the computed sum of
-      the row's j entries of w, lies within g(2)(M + |c0|) + g(j) W of
-      E_r + c0 + S_r, and the exact sum S_r is at least j lo, which the
-      computed fl(j lo) is within u W of.
-    * t lies within g(3)(|best| + |c0| + (1 + u) W + delta) of
-      best - c0 - fl(j lo) + delta, delta = 2(j + 7) ulp(sigma).
-    * So E_r >= t gives an energy of at least best + delta (1 - g(3)) - e,
-      e <= (g(4) + g(2) + g(1) + g(j)) S <= 1.002 (j + 7) u S.
-    * ulp(x) >= u x and the computed sigma is at least (1 - g(4)) S, so
-      delta (1 - g(3)) >= 2 * 0.999 (j + 7) u S, which exceeds e, or is
-      positive while e = 0 when S = 0.
+    A NaN bound skips no top and drops its row.  For a finite A it is NaN
+    only when fl(E_r + c0) is NaN, or +inf with least = -inf, or -inf with
+    least = +inf (so lo > 0 and s_r = +inf): the energy is NaN or +inf,
+    below no best.  If every k-subset computes so, `InputError` is raised.
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
@@ -292,27 +276,26 @@ def constrained_best(A: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, 
     starts = [0, *ends[:-1]]
     floors = np.minimum.accumulate(np.minimum.reduceat(E, starts)).tolist()
     ceilings = np.maximum.accumulate(np.maximum.reduceat(E, starts)).tolist()
-    M = max(ceilings[-1], -floors[-1])
+    # each top's least row sum: j copies of lo, added as `_add_top` adds a row
+    lows = 2.0 * np.array([A[m, :m].min() for m in range(j, n)])
+    leasts = np.repeat(lows[:, None], j, axis=1).sum(axis=1).tolist()
     c0s = (A.diagonal() + b).tolist()
     best_c, best_e = None, math.inf
-    for m, c, floor, ceiling in zip(range(j, n), ends, floors, ceilings):
-        c0, row = c0s[m], A[m, :m]
-        lo, hi = 2.0 * float(row.min()), 2.0 * float(row.max())
-        sigma = M + abs(c0) + j * max(hi, -lo) + abs(best_e)
-        t = math.inf
-        if math.isfinite(4.0 * sigma):
-            t = best_e - c0 - j * lo + 2 * (j + 7) * math.ulp(sigma)
-            if floor > t:
-                continue
-        w = 2.0 * row
+    for m, c, floor, ceiling, least in zip(range(j, n), ends, floors, ceilings, leasts):
+        c0 = c0s[m]
+        if floor + c0 + least > best_e:
+            continue
+        w = 2.0 * A[m, :m]
         for rows in _blocks(c):
-            if ceiling > t:
-                rows = rows.start + np.flatnonzero(E[rows] <= t)
+            if not ceiling + c0 + least <= best_e:
+                rows = rows.start + np.flatnonzero(E[rows] + c0 + least <= best_e)
             e = _add_top(w, c0, T, E, rows)
             if e.size:
                 i = int(np.argmin(e))  # first minimum: colex-first of these rows
                 if e[i] < best_e:
                     best_c, best_e = [*T[rows][i].tolist(), m], float(e[i])
+    if best_c is None:
+        raise InputError(f"every {k}-subset's energy overflows")
     return np.asarray(best_c, dtype=np.int64), float(best_e)
 
 

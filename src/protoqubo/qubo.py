@@ -178,7 +178,8 @@ def qubo_energy(q: QuboInstance, sel: Selection) -> float:
 def qbp_energy(p: QbpInstance, sel: Selection) -> float:
     """Objective z^T A z + b^T z; feasibility is the caller's concern."""
     z = _check_dims(p.n, sel)
-    return float(z @ p.quadratic @ z + p.linear @ z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(z @ p.quadratic @ z + p.linear @ z)
 
 
 def penalized_diagonal(a_diag: np.ndarray, b: np.ndarray, lam: float, k: int) -> np.ndarray:

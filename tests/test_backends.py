@@ -282,15 +282,41 @@ def test_constrained_scan_is_the_full_tables_first_minimum():
 @pytest.mark.parametrize("scale", [2.0**-60, 1.0, 2.0**60])
 def test_bounded_scan_keeps_an_answer_decided_by_rounding(scale):
     # {1, 2} has the exact energy 0.5 but computes to 0.0, below the 0.25 of
-    # {0, 1}: 0.5 + 2^53 rounds to 2^53.  Without the rounding margin the
-    # threshold of top 2 is fl(fl(0.25 - 2^53) + 2^53) = 0, below the table
-    # energy 0.5 of {1}, and that row would be skipped.
+    # {0, 1}: 0.5 + 2^53 rounds to 2^53.  A threshold on the table energy,
+    # best - c0 - j lo in floating point, is fl(fl(0.25 - 2^53) + 2^53) = 0
+    # for top 2, below the table energy 0.5 of {1}, and would skip that row;
+    # the scan's bound adds as the row does, fl(fl(0.5 + 2^53) - 2^53) = 0,
+    # and keeps it.
     A = scale * np.array([[0.0, -0.125, 0.0],
                           [-0.125, 0.5, -2.0**52],
                           [0.0, -2.0**52, 2.0**53]])
     assert_scan_is_the_tables_first_minimum(A, np.zeros(3), 2, colex=True)
     c, e = accel.constrained_best(A, np.zeros(3), 2)
     np.testing.assert_array_equal(c, [1, 2])
+    assert e == 0.0
+
+
+@pytest.mark.parametrize("k", [7, 11, 20])
+def test_bounded_scan_sums_the_least_entry_as_the_rows_do(k):
+    # Top k's entries A[k, :k] are one value v whose j = k - 1 copies numpy
+    # sums u below fl(j 2v), and b_k cancels that sum, so its first row
+    # computes to 0.0, below the 2^-3 u of {0, ..., k - 1}.  A least sum
+    # taken as the product j lo would bound that row at u and skip it.
+    j = k - 1
+    rng = np.random.default_rng(88)
+    v = rng.normal()
+    while np.repeat(2.0 * v, j).sum() >= j * (2.0 * v):
+        v = rng.normal()
+    least = np.repeat(2.0 * v, j).sum()
+    tiny = (j * (2.0 * v) - least) / 16
+    A = np.zeros((k + 1, k + 1))
+    A[k, :k] = A[:k, k] = v
+    A[0, k - 1] = A[k - 1, 0] = tiny
+    b = np.zeros(k + 1)
+    b[k] = -least
+    assert_scan_is_the_tables_first_minimum(A, b, k)
+    c, e = accel.constrained_best(A, b, k)
+    np.testing.assert_array_equal(c, [*range(j), k])
     assert e == 0.0
 
 
@@ -307,9 +333,10 @@ def near_tied_grid_program(seed):
 
 
 # seeds of `near_tied_grid_program` whose answer is a tied subset that
-# computes one ulp below its twin, and which a cut without the rounding
-# margin loses (1 in about 4000 seeds); `_constrained_colex` adds in another
-# order, so on these floats the full table is the reference
+# computes one ulp below its twin, and which a threshold on the table energy
+# in floating point, without a rounding margin, loses (1 in about 4000
+# seeds); `_constrained_colex` adds in another order, so on these floats the
+# full table is the reference
 NEAR_TIE_SEEDS = [1644, 8357, 18569, 26794, 29877, 33874, 39020, 58305]
 
 
@@ -373,6 +400,33 @@ def test_bounded_scan_skips_rows(monkeypatch):
         monkeypatch.setattr(accel, "_add_top", counting)
         assert_scan_is_the_tables_first_minimum(A, p.linear, 5)
         assert sum(scored) < math.comb(40, 5) / 4
+
+
+def test_row_sums_add_each_width_in_one_order():
+    # The bound of the k-subset scan sums j copies of a least entry in one
+    # np.repeat array for all tops, and is at most a row's computed energy
+    # only if numpy adds every row of width j = k - 1 in one order, whatever
+    # the array and its row count: pairwise from width 8 on, not left to
+    # right.  A host where the order varies fails here rather than silently
+    # losing an answer.  Widths to 23 come with up to GATHER_ROWS rows, and
+    # wider ones (k = n allows any) with fewer.
+    rng = np.random.default_rng(87)
+    cases = [(j, r) for j in range(1, 24) for r in (1, 2, 3, 7, 8, 9, 1000, accel.GATHER_ROWS)]
+    cases += [(j, r) for j in (24, 31, 40, 127, 128, 129, 300, 1000) for r in (1, 2, 9, 100)]
+    for j, r in cases:
+        w = rng.normal(size=3 * j) * 10.0 ** rng.uniform(-8, 8, 3 * j)
+        block = w[rng.integers(0, 3 * j, (r, j))]  # a gathered block, as `_add_top` sums
+        sums = block.sum(axis=1)
+        some = np.unique(np.linspace(0, r - 1, min(r, 64)).astype(int))
+        alone = [block[i].sum() for i in some]
+        np.testing.assert_array_equal(sums[some].view(np.int64), np.array(alone).view(np.int64))
+        repeated = np.repeat(block, 3, axis=0).sum(axis=1)[::3]
+        np.testing.assert_array_equal(repeated.view(np.int64), sums.view(np.int64))
+        # j copies of one entry per row, gathered and as the bound builds them
+        lows = rng.normal(size=r)
+        copies = lows[np.repeat(np.arange(r)[:, None], j, axis=1)].sum(axis=1)
+        least = np.repeat(lows[:, None], j, axis=1).sum(axis=1)
+        np.testing.assert_array_equal(least.view(np.int64), copies.view(np.int64))
 
 
 @pytest.mark.parametrize("n", [17, 20, 23, 24])

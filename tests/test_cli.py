@@ -422,21 +422,31 @@ class TestMainEntry:
         assert err == f"protoqubo: input error: {bad}: row 2 has 1 columns, expected 2\n"
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("argv, message", [
-        (["export-qubo", "--lambda", "1e308"], "QUBO matrix contains non-finite entries\n"),
-        (["export-qubo"], "the sufficient penalty 1 + sum|A_ij| + sum|b_i| overflows; "
-                          "give the penalty weight explicitly\n"),
-        (["select", "--solver", "constrained"], "squared MMD is not finite"),
-    ], ids=["fold", "default-penalty", "mmd"])
-    def test_overflowing_kernel_sums_are_input_errors(self, tmp_path, capsys, argv, message):
-        # a kernel whose entries are finite but whose sums are not: one stderr
-        # line, no traceback, no numpy warning (turned into an error here)
-        data = tmp_path / "two.csv"
-        data.write_text("0,0\n1,1\n")
+    @pytest.mark.parametrize("n, diagonal, argv, message", [
+        (2, "1.5e308", ["export-qubo", "--k", "1", "--lambda", "1e308"],
+         "QUBO matrix contains non-finite entries\n"),
+        (2, "1.5e308", ["export-qubo", "--k", "1"],
+         "the sufficient penalty 1 + sum|A_ij| + sum|b_i| overflows; "
+         "give the penalty weight explicitly\n"),
+        (2, "1.5e308", ["select", "--k", "1", "--solver", "constrained"],
+         "squared MMD is not finite"),
+        (6, "1.5e308", ["select", "--k", "2", "--solver", "constrained"],
+         "squared MMD is not finite"),
+        (12, "1.7e308", ["select", "--k", "2", "--solver", "constrained"],
+         "every 2-subset's energy overflows\n"),
+    ], ids=["fold", "default-penalty", "mmd", "objective", "every-subset"])
+    def test_overflowing_kernel_sums_are_input_errors(self, tmp_path, capsys, n, diagonal,
+                                                      argv, message):
+        # a diagonal kernel whose entries are finite but whose sums are not:
+        # one stderr line, no traceback, no numpy warning (turned into an
+        # error here)
+        data = tmp_path / "points.csv"
+        data.write_text("".join(f"{i},{i}\n" for i in range(n)))
         kernel = tmp_path / "kernel.csv"
-        kernel.write_text("1.5e308,0\n0,1.5e308\n")
+        kernel.write_text("".join(
+            ",".join(diagonal if c == r else "0" for c in range(n)) + "\n" for r in range(n)))
         code = main([argv[0], "--input", str(data), "--kernel", f"precomputed:{kernel}",
-                     "--k", "1", *argv[1:]])
+                     *argv[1:]])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith(f"protoqubo: input error: {message}")

@@ -118,6 +118,25 @@ def cases(work: Path) -> list:
     exact = [(_write_csv(work / f"n{n}k{k}.csv", _clustered(rng, n, 2)), k)
              for n, k in ((40, 5), (64, 4), (100, 3))]
     grid30 = _write_csv(work / "grid30.csv", rng.integers(0, 3, size=(30, 2)).astype(float))
+    # drawn after every other input: a positive definite kernel D B D, B an
+    # rbf Gram matrix plus the identity and D a diagonal of 10^-4 .. 10^4, so
+    # the k-subset scan's energies span many binades (upper triangle mirrored,
+    # so exactly symmetric); at k = 9 its rows sum 8 entries pairwise
+    spread = rng.normal(size=(20, 2))
+    scale = 10.0 ** rng.uniform(-4.0, 4.0, size=20)
+    gram = np.exp(-((spread[:, None, :] - spread[None, :, :]) ** 2).sum(axis=2) / 2.0)
+    spread_kernel = scale[:, None] * (gram + np.eye(20)) * scale[None, :]
+    spread_kernel = _write_csv(work / "k20spread.csv",
+                               np.triu(spread_kernel) + np.triu(spread_kernel, 1).T)
+    spread = _write_csv(work / "n20spread.csv", spread)
+    # finite diagonal kernels whose subset energies overflow: on 6 points the
+    # objective of the selection, on 12 points every 2-subset's energy
+    huge = {}
+    for n, diagonal in ((6, "1.5e308"), (12, "1.7e308")):
+        path = work / f"k{n}huge.csv"
+        path.write_text("".join(",".join(diagonal if c == r else "0" for c in range(n)) + "\n"
+                                for r in range(n)))
+        huge[_write_csv(work / f"n{n}.csv", np.arange(2.0 * n).reshape(n, 2))] = str(path)
 
     out = []
     for kernel in ("rbf:2.0", "laplacian:1.5"):
@@ -222,6 +241,12 @@ def cases(work: Path) -> list:
         for form in ("med", "kde"):
             out.append(["select", "--input", csv, "--k", str(k), "--formulation", form,
                         "--solver", "constrained"])
+    for k in ("3", "9"):
+        out.append(["select", "--input", spread, "--k", k, "--kernel",
+                    f"precomputed:{spread_kernel}", "--solver", "constrained"])
+    for csv, kernel in huge.items():
+        out.append(["select", "--input", csv, "--k", "2", "--kernel", f"precomputed:{kernel}",
+                    "--solver", "constrained"])
     return out
 
 
