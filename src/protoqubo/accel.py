@@ -1,4 +1,4 @@
-"""Hot solver loops: numpy exact scans, and an annealer that numba compiles when it imports.
+"""Hot solver loops: numpy exact scans and a numpy annealer.
 
 Each hot loop has one algorithm, so an input gives the same answer on every
 machine:
@@ -14,39 +14,39 @@ machine:
   the memory constants; a lower bound on each row's energy, computed by
   the same additions, skips the table rows that compute above the best so
   far, and so cannot change the answer,
-* simulated-annealing sweeps, on the backend the ``PROTOQUBO_BACKEND``
-  environment variable names (``auto``, the default: numba when importable;
-  ``numba``; ``numpy``).  Each restart keeps the local field h = Qz, so a
-  proposed flip costs O(1) and only an accepted one pays an O(n) update of h
-  (Isakov et al., arXiv:1401.1084).  numba compiles the loop `_sa_sweeps`;
-  numpy scores the proposals between two accepted flips in blocks, with the
-  loop's trajectory.
+* simulated-annealing sweeps.  Each restart keeps the local field h = Qz, so
+  a proposed flip costs O(1) and only an accepted one pays an O(n) update of
+  h (Isakov et al., arXiv:1401.1084).  The proposals between two accepted
+  flips are scored in blocks, with the trajectory of the loop `_sa_sweeps`.
 
 The interpreted `_exhaustive_gray` and `_constrained_colex` are the order
 references the scans are tested against: colex order of subsets is the
 little-endian integer order of the indicator vectors, and the scans keep the
 first minimum of each block and replace the best only on strict improvement,
-block by block in that order.  Ties are broken among computed energies.
+block by block in that order.  Ties are broken among computed energies, and
+an energy that computes to NaN ranks above every other.
 `_sa_sweeps`, interpreted, is the reference of `_sa_block_scan`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from .errors import InputError
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is optional (the "fast" extra)
-    HAVE_NUMBA = False
-
+# HAVE_NUMBA, ENV_VAR and active_backend are read only by perfbench/, which
+# reports the backend and skips its numba comparison while HAVE_NUMBA is
+# False; the hot loops run numpy on every machine and read no environment.
+HAVE_NUMBA = False
 ENV_VAR = "PROTOQUBO_BACKEND"
+
+
+def active_backend() -> str:
+    """The backend that runs the hot loops: always 'numpy'."""
+    return "numpy"
+
 
 # Working memory of the numpy scans: energies held at once in one block of the
 # 2^n scan, and table rows per block of the k-subset scan.  Neither changes an
@@ -54,22 +54,19 @@ ENV_VAR = "PROTOQUBO_BACKEND"
 SCAN_ENERGIES = 1 << 20
 GATHER_ROWS = 1 << 15
 
-# Proposals the numpy annealer scores at once after an accepted flip; the
-# block doubles after each block without an acceptance, up to SA_BLOCK_MAX.
+# Proposals the annealer scores at once after an accepted flip; the block
+# doubles after each block without an acceptance, up to SA_BLOCK_MAX.
 SA_BLOCK = 16
 SA_BLOCK_MAX = 1 << 12
 
 
-def active_backend() -> str:
-    """Resolve the backend name ('numba' or 'numpy') from the environment."""
-    choice = os.environ.get(ENV_VAR, "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise InputError(f"{ENV_VAR} must be auto, numba or numpy, got {choice!r}")
-    if choice == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice == "numba" and not HAVE_NUMBA:
-        raise InputError(f"{ENV_VAR}=numba requested but numba is not importable")
-    return choice
+def _first_min(e: np.ndarray) -> int:
+    # Flat index of the first least entry of e, a NaN ranking as +inf.
+    # np.argmin stops at the first NaN, so only then is e ranked again.
+    i = int(np.argmin(e))
+    if math.isnan(e.flat[i]):
+        i = int(np.argmin(np.where(np.isnan(e), np.inf, e)))
+    return i
 
 
 # --------------------------------------------------------------------------
@@ -134,18 +131,20 @@ def _exhaustive_halves(Q: np.ndarray) -> tuple[int, float]:
         e = cross[r0 : r0 + rows] @ Z_loT
         e += e_hi[r0 : r0 + rows, None]
         e += e_lo
-        i = int(np.argmin(e))  # first minimum in row-major, i.e. integer, order
+        i = _first_min(e)  # first minimum in row-major, i.e. integer, order
         if e.flat[i] < best_e:
             best_e = float(e.flat[i])
             best_t = ((r0 + i // e.shape[1]) << L) | (i % e.shape[1])
     return best_t, best_e
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def exhaustive_best(Q: np.ndarray) -> tuple[np.ndarray, float]:
     """Scan all binary states; return (indicator vector, scanned energy).
 
     Ties are broken toward the state whose indicator vector, read as a
-    little-endian integer, is smallest.
+    little-endian integer, is smallest, and a state whose energy computes
+    to NaN ranks above every other.
     """
     Q = np.ascontiguousarray(Q, dtype=np.float64)
     n = Q.shape[0]
@@ -260,7 +259,9 @@ def constrained_best(A: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, 
     A NaN bound skips no top and drops its row.  For a finite A it is NaN
     only when fl(E_r + c0) is NaN, or +inf with least = -inf, or -inf with
     least = +inf (so lo > 0 and s_r = +inf): the energy is NaN or +inf,
-    below no best.  If every k-subset computes so, `InputError` is raised.
+    below no best.  A row that computes to NaN ranks above every other, so
+    the answer is the full table's first minimum with NaNs left out.  If
+    every k-subset computes to +inf or NaN, `InputError` is raised.
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
@@ -268,7 +269,7 @@ def constrained_best(A: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, 
     j = k - 1
     if j == 0:
         T, E = _colex_table(A, b, 1, n)
-        i = int(np.argmin(E))
+        i = _first_min(E)
         return T[i].astype(np.int64), float(E[i])
     T, E = _colex_table(A, b, j, n - 1)
     # the least and the greatest energy of the table rows below each top
@@ -291,7 +292,7 @@ def constrained_best(A: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, 
                 rows = rows.start + np.flatnonzero(E[rows] + c0 + least <= best_e)
             e = _add_top(w, c0, T, E, rows)
             if e.size:
-                i = int(np.argmin(e))  # first minimum: colex-first of these rows
+                i = _first_min(e)  # first minimum: colex-first of these rows
                 if e[i] < best_e:
                     best_c, best_e = [*T[rows][i].tolist(), m], float(e[i])
     if best_c is None:
@@ -409,20 +410,13 @@ def sa_run(
     """One annealing restart over pre-drawn flip indices and uniforms.
 
     ``flips`` and ``us`` hold one entry per proposal and ``temps`` one
-    temperature per n proposals.  numba runs the loop `_sa_sweeps` jitted;
-    numpy runs the block scan `_sa_block_scan`.  Both compute every energy
-    change, acceptance test and energy update with the same operations in
-    the same order, so a given draw sequence produces the same trajectory
-    on either backend.  A flip index out of range raises ``IndexError``.
+    temperature per n proposals.  The block scan `_sa_block_scan` computes
+    every energy change, acceptance test and energy update with the
+    operations of the loop `_sa_sweeps`, in the same order, so a given draw
+    sequence produces the loop's trajectory.  A flip index out of range
+    raises ``IndexError``.
     """
     Q = np.ascontiguousarray(Q, dtype=np.float64)
     z = np.array(z0, dtype=np.int8)
-    if active_backend() == "numba":
-        best_z, best_e = _sa_sweeps_jit(Q, z, flips, us, temps)
-    else:
-        best_z, best_e = _sa_block_scan(Q, z, flips, us, temps)
+    best_z, best_e = _sa_block_scan(Q, z, flips, us, temps)
     return np.asarray(best_z, dtype=np.int8), float(best_e)
-
-
-if HAVE_NUMBA:
-    _sa_sweeps_jit = njit(cache=True)(_sa_sweeps)

@@ -13,8 +13,7 @@ not checked again.
 
 Solvers: exhaustive enumeration (ground truth, hard-capped), enumeration of
 the feasible k-subsets, and single-bit-flip Metropolis simulated annealing.
-The enumeration and annealing inner loops live in `accel` (numpy scans, and
-an annealing loop that numba compiles when it imports).
+The enumeration and annealing inner loops live in `accel`, in numpy.
 """
 
 from __future__ import annotations
@@ -126,9 +125,12 @@ class Selection:
 class SolveReport:
     """Solver output: best selection found, its objective, and run statistics.
 
-    `evaluations` counts the states scored, `restarts` the annealing chains (0
-    for the enumerations).  Feasibility is the caller's concern: a QUBO
-    solver does not know the cardinality k its matrix was folded for.
+    `evaluations` is the size of the search, not a count of scored states:
+    2^n for the 2^n enumeration, C(n, k) for the k-subset enumeration (whose
+    bound skips most of those subsets unscored), and restarts x sweeps x n
+    proposals for annealing.  `restarts` counts the annealing chains (0 for
+    the enumerations).  Feasibility is the caller's concern: a QUBO solver
+    does not know the cardinality k its matrix was folded for.
     """
 
     best: Selection
@@ -172,7 +174,8 @@ def _check_dims(n: int, sel: Selection) -> np.ndarray:
 def qubo_energy(q: QuboInstance, sel: Selection) -> float:
     """Objective z^T Q z in double precision."""
     z = _check_dims(q.n, sel)
-    return float(z @ q.matrix @ z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(z @ q.matrix @ z)
 
 
 def qbp_energy(p: QbpInstance, sel: Selection) -> float:
@@ -314,12 +317,12 @@ def solve_sa(q: QuboInstance, schedule: SaSchedule | None = None, seed: int = 0)
     ``default_rng(seed + restart)``.  Each restart keeps the local field
     h = Qz, so a proposal costs O(1) and only an accepted flip pays an O(n)
     update (Isakov et al., "Optimised simulated annealing for Ising spin
-    glasses", arXiv:1401.1084).  On the numpy backend `accel.sa_run` scores the
-    rejected proposals between two accepted flips a block at a time, with
-    the loop's trajectory bit for bit.  Returns the best state visited across
-    restarts; its incrementally tracked energy must agree with a full
-    re-evaluation to within `sa_drift_bound`, or `NumericalIntegrityError`
-    is raised.
+    glasses", arXiv:1401.1084).  `accel.sa_run` scores the rejected
+    proposals between two accepted flips a block at a time, with the
+    trajectory of the one-proposal-at-a-time loop bit for bit.  Returns the
+    best state visited across restarts; its incrementally tracked energy
+    must agree with a full re-evaluation to within `sa_drift_bound`, or
+    `NumericalIntegrityError` is raised.
     """
     sched = schedule if schedule is not None else SaSchedule()
     temps = sched.temperatures()

@@ -308,6 +308,22 @@ class TestMainEntry:
         assert isinstance(doc["within_scatter"], float)
         assert doc["provenance"]["config"]["solver"] == "sa"
 
+    def test_select_sa_ignores_the_backend_variable(self, blob_file, tmp_path, monkeypatch):
+        # the annealer has one path: no value of PROTOQUBO_BACKEND changes an
+        # exit code or a byte of the report
+        argv = ["select", "--input", blob_file, "--kernel", "rbf:2.0", "--k", "2",
+                "--solver", "sa", "--seed", "7"]
+        reports = []
+        for value in (None, "numpy", "numba", "bogus"):
+            if value is None:
+                monkeypatch.delenv("PROTOQUBO_BACKEND", raising=False)
+            else:
+                monkeypatch.setenv("PROTOQUBO_BACKEND", value)
+            out = tmp_path / f"{value}.json"
+            assert main(argv + ["--output", str(out)]) == 0, value
+            reports.append(strip_wall_time(out.read_text()))
+        assert reports == reports[:1] * 4
+
     def test_verify_passes_on_rbf(self, blob_file, capsys):
         code = main(["verify", "--input", blob_file, "--kernel", "rbf:1.5",
                      "--k", "3", "--lambda", "2.5", "--tolerance", "1e-12"])

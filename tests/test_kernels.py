@@ -116,11 +116,12 @@ def test_every_evaluation_path_gives_the_matrix_entry_bit_for_bit(make_spec, d):
 def test_importing_the_package_does_not_import_scipy():
     # numpy is the one runtime dependency
     src = Path(protoqubo.__file__).resolve().parent.parent
-    code = "import sys, protoqubo, protoqubo.cli; print('scipy' in sys.modules)"
+    code = ("import sys, protoqubo, protoqubo.cli; "
+            "print([name in sys.modules for name in ('scipy', 'numba')])")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert done.stdout == "[False, False]\n"
 
 
 def test_kernel_matrix_two_points_rbf():
