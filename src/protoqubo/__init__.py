@@ -44,7 +44,6 @@ from .qubo import (
     SaSchedule,
     Selection,
     SolveReport,
-    export_qubo,
     qbp_energy,
     qbp_to_qubo,
     qubo_energy,
@@ -52,6 +51,7 @@ from .qubo import (
     solve_exhaustive,
     solve_sa,
     sufficient_penalty,
+    write_qubo,
 )
 
 __all__ = [
@@ -79,7 +79,6 @@ __all__ = [
     "build_med_qbp",
     "euclidean_distance_matrix",
     "eval_kernel",
-    "export_qubo",
     "kde_density",
     "kde_density_subset",
     "kde_equivalent_med_params",
@@ -98,4 +97,5 @@ __all__ = [
     "sufficient_penalty",
     "verify_equivalence",
     "within_cluster_scatter",
+    "write_qubo",
 ]

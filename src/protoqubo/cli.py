@@ -11,6 +11,7 @@ drift beyond its rounding bound or a kernel that is not positive semidefinite).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -42,12 +43,12 @@ from .qubo import (
     QbpInstance,
     SaSchedule,
     Selection,
-    export_qubo,
     qbp_to_qubo,
     solve_constrained_exhaustive,
     solve_exhaustive,
     solve_sa,
     sufficient_penalty,
+    write_qubo,
 )
 
 EXIT_OK = 0
@@ -233,21 +234,23 @@ def run(args) -> dict:
     }
 
 
-def _emit(text: str, output_path: Optional[str]) -> None:
-    if output_path:
-        try:
-            with open(output_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {output_path}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+@contextlib.contextmanager
+def _destination(output_path: Optional[str]):
+    """The opened `--output` file, or ``sys.stdout`` as it is now; an OSError is an input error."""
+    if not output_path:
+        yield sys.stdout
+        return
+    try:
+        with open(output_path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"cannot write {output_path}: {exc}") from exc
 
 
 def _emit_json(doc: dict, output_path: Optional[str]) -> None:
-    _emit(json.dumps(doc, indent=2, sort_keys=True), output_path)
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    with _destination(output_path) as fh:
+        fh.write(text if output_path else text + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -347,7 +350,9 @@ def _cmd_baseline(args) -> int:
 def _cmd_export(args) -> int:
     _, _, qbp, _ = prepare(args)
     lam = args.lam if args.lam is not None else sufficient_penalty(qbp)
-    _emit(export_qubo(qbp_to_qubo(qbp, lam)), args.output)
+    q = qbp_to_qubo(qbp, lam)  # folded before the output is opened, so a fold error writes nothing
+    with _destination(args.output) as fh:
+        write_qubo(q, fh)
     return EXIT_OK
 
 

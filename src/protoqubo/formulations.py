@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .kernels import DistanceMatrix, KernelMatrix, _derived, kernel_to_distance
+from .kernels import _ROW_BLOCK, DistanceMatrix, KernelMatrix, _derived, kernel_to_distance
 from .qubo import QbpInstance, qbp_to_qubo
 
 
@@ -79,18 +79,27 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Fold both programs built from one kernel with `qbp_to_qubo` and compare entrywise.
 
-    Raises `PreconditionError` (from `kernel_to_distance`) for a kernel that
-    is not normalized.
+    Besides K, at most two n x n arrays are alive at once: each input is
+    dropped as soon as its fold is built, and ``max |Q_med - Q_kde|`` is taken
+    ``_ROW_BLOCK`` rows at a time (the max of exact absolute values does not
+    depend on the order).  Raises `PreconditionError` (from
+    `kernel_to_distance`) for a kernel that is not normalized.
     """
     D = kernel_to_distance(K)
     if not (np.isfinite(tolerance) and tolerance >= 0):
         raise InputError(f"tolerance must be nonnegative, got {tolerance}")
     gamma, kde_lambda = kde_equivalent_med_params(k, K.n, med_lambda)
-    q_med = qbp_to_qubo(build_med_qbp(D, gamma, k), med_lambda)
-    del D  # at most three n x n arrays besides K are alive at once
-    q_kde = qbp_to_qubo(build_kde_qbp(K, k), kde_lambda)
-    gap = q_med.matrix - q_kde.matrix
-    diff = float(np.abs(gap, out=gap).max())
+    med = build_med_qbp(D, gamma, k)
+    del D  # at most two n x n arrays besides K are alive at once
+    q_med = qbp_to_qubo(med, med_lambda).matrix
+    del med
+    q_kde = qbp_to_qubo(build_kde_qbp(K, k), kde_lambda).matrix
+    gap = np.empty((min(_ROW_BLOCK, K.n), K.n))
+    diff = 0.0
+    for i in range(0, K.n, _ROW_BLOCK):
+        block = np.subtract(q_med[i:i + _ROW_BLOCK], q_kde[i:i + _ROW_BLOCK],
+                            out=gap[:min(_ROW_BLOCK, K.n - i)])
+        diff = max(diff, float(np.abs(block, out=block).max()))
     return EquivalenceReport(
         max_abs_diff=diff,
         gamma_used=gamma,

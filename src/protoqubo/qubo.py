@@ -14,6 +14,8 @@ not checked again.
 Solvers: exhaustive enumeration (ground truth, hard-capped), enumeration of
 the feasible k-subsets, and single-bit-flip Metropolis simulated annealing.
 The enumeration and annealing inner loops live in `accel`, in numpy.
+`write_qubo` streams a QUBO to a text file or stdout one row at a time, for
+external QUBO solvers.
 """
 
 from __future__ import annotations
@@ -171,18 +173,32 @@ def _check_dims(n: int, sel: Selection) -> np.ndarray:
     return sel.indicator.astype(np.float64)
 
 
+def _quadratic_form(m: np.ndarray, z: np.ndarray, sel: Selection) -> float:
+    """``z @ m @ z``, or the sum of the selected principal block where that is NaN.
+
+    Near 1e308, ``z @ m`` can hold inf or NaN in a column z leaves out, which
+    the last product turns into NaN although the selected entries alone sum
+    to a number (which may be infinite).  Finite results keep their bits.
+    """
+    e = float(z @ m @ z)
+    if math.isnan(e):
+        idx = sel.indices
+        e = float(m[np.ix_(idx, idx)].sum())
+    return e
+
+
 def qubo_energy(q: QuboInstance, sel: Selection) -> float:
     """Objective z^T Q z in double precision."""
     z = _check_dims(q.n, sel)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(z @ q.matrix @ z)
+        return _quadratic_form(q.matrix, z, sel)
 
 
 def qbp_energy(p: QbpInstance, sel: Selection) -> float:
     """Objective z^T A z + b^T z; feasibility is the caller's concern."""
     z = _check_dims(p.n, sel)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(z @ p.quadratic @ z + p.linear @ z)
+        return float(_quadratic_form(p.quadratic, z, sel) + p.linear @ z)
 
 
 def penalized_diagonal(a_diag: np.ndarray, b: np.ndarray, lam: float, k: int) -> np.ndarray:
@@ -352,25 +368,25 @@ def solve_sa(q: QuboInstance, schedule: SaSchedule | None = None, seed: int = 0)
                        restarts=sched.restarts, wall_time=time.perf_counter() - t0)
 
 
-def export_qubo(q: QuboInstance) -> str:
-    """Render a QUBO in the sparse upper-triangular text format.
+def write_qubo(q: QuboInstance, out) -> None:
+    """Write a QUBO to the text stream `out` in the sparse upper-triangular format.
 
     Header line ``n nnz``, then one ``i j value`` line per nonzero with
     ``i <= j``; off-diagonal values are doubled so that reading the file as an
-    upper-triangular objective reproduces z^T Q z.  Rows are doubled and
-    filtered in numpy; doubling is exact, so the bytes are those of a loop
-    writing ``repr(float(2.0 * Q[i, j]))`` entry by entry.
+    upper-triangular objective reproduces z^T Q z.  nnz is counted first, over
+    the entries the rows write: doubling a finite nonzero never gives zero,
+    and -0.0 counts as zero either way.  Then each row is doubled, filtered
+    and written on its own, so only one row's text is held at a time.  The
+    bytes are those of a loop writing ``repr(float(2.0 * Q[i, j]))`` entry by
+    entry.
     """
     m = q.matrix
-    chunks = [""]  # slot 0 takes the header once nnz is known
-    nnz = 0
+    nnz = sum(int(np.count_nonzero(m[i, i:])) for i in range(q.n))
+    out.write(f"{q.n} {nnz}\n")
     for i in range(q.n):
         row = 2.0 * m[i, i:]
         row[0] = m[i, i]
         cols = np.flatnonzero(row)
-        nnz += cols.size
         prefix = f"{i} "
-        chunks.append("".join([f"{prefix}{j} {v!r}\n"
-                               for j, v in zip((cols + i).tolist(), row[cols].tolist())]))
-    chunks[0] = f"{q.n} {nnz}\n"
-    return "".join(chunks)
+        out.write("".join([f"{prefix}{j} {v!r}\n"
+                           for j, v in zip((cols + i).tolist(), row[cols].tolist())]))

@@ -35,10 +35,13 @@ from protoqubo import (
     QuboInstance,
     RbfKernel,
     SaSchedule,
+    Selection,
     build_kde_qbp,
     build_med_qbp,
     kernel_matrix,
+    qbp_energy,
     qbp_to_qubo,
+    qubo_energy,
     solve_exhaustive,
     solve_sa,
     sufficient_penalty,
@@ -306,13 +309,20 @@ def test_exhaustive_scan_ranks_nan_energies_last():
                   [0.0, -1e308, -1e308, 1e308],
                   [0.0, -1e308, -1e308, 1e308],
                   [0.0, 1e308, 1e308, 0.0]])
+    # z @ Q @ z of {1, 2} is NaN (z @ Q holds inf in column 3, times z_3 = 0);
+    # the energy functions then sum the selected block, -4e308, to -inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         z, e = accel.exhaustive_best(Q)
         report = solve_exhaustive(QuboInstance(Q))
+        pair = Selection.from_indices(4, [1, 2])
+        program = QbpInstance(Q, np.zeros(4), 2)
+        assert qubo_energy(QuboInstance(Q), pair) == qbp_energy(program, pair) == -np.inf
+        assert qubo_energy(QuboInstance(Q), Selection.from_indices(4, [0])) == -1.0
     np.testing.assert_array_equal(z, [0, 1, 1, 0])
     assert e == -np.inf
     np.testing.assert_array_equal(report.best.indices, [1, 2])
+    assert report.objective == -np.inf
     for seed in range(100):
         rng = np.random.default_rng(seed)
         Q = overflowing_symmetric(rng, int(rng.integers(1, 13)))

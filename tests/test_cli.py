@@ -373,6 +373,33 @@ class TestMainEntry:
         n, nnz = map(int, lines[0].split())
         assert n == 2 and nnz == len(lines) - 1
 
+    @pytest.mark.parametrize("formulation", ["med", "kde"])
+    def test_export_to_stdout_matches_the_output_file(self, blob_file, tmp_path, capsys,
+                                                       formulation):
+        out = tmp_path / "q.txt"
+        argv = ["export-qubo", "--input", blob_file, "--k", "3", "--formulation", formulation]
+        assert main([*argv, "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert text.count("\n") == int(text.split()[1]) + 1
+        assert text.encode() == out.read_bytes()
+
+    def test_failed_fold_leaves_the_output_file_untouched(self, tmp_path, capsys):
+        # the fold overflows, so the earlier export must not be truncated
+        data = tmp_path / "points.csv"
+        data.write_text("0,0\n1,1\n")
+        kernel = tmp_path / "kernel.csv"
+        kernel.write_text("1.5e308,0\n0,1.5e308\n")
+        out = tmp_path / "q.txt"
+        out.write_bytes(b"2 1\n0 0 1.0\n")
+        code = main(["export-qubo", "--input", str(data), "--kernel", f"precomputed:{kernel}",
+                     "--k", "1", "--lambda", "1e308", "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "protoqubo: input error: QUBO matrix contains non-finite entries\n"
+        assert out.read_bytes() == b"2 1\n0 0 1.0\n"
+
     def test_input_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n3\n")

@@ -1,4 +1,5 @@
-"""Smoke test of tools/cli_diff.py: a tree matches itself, and a changed output shows."""
+"""Smoke test of tools/cli_diff.py: a tree matches itself, and a changed output shows,
+in stdout and in a file written by ``--output``."""
 
 import shutil
 import subprocess
@@ -32,4 +33,7 @@ def test_changed_export_format_is_reported(tmp_path):
     done = cli_diff(SRC, mutated)
     assert done.returncode == 1, done.stdout + done.stderr
     assert "export-qubo" in done.stdout and "stdout differs" in done.stdout
+    for form in ("med", "kde"):
+        assert (f"--formulation {form} --output {{output}}: output file differs"
+                in done.stdout), done.stdout
     assert " 0 differences" not in done.stdout

@@ -1,4 +1,6 @@
+import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from protoqubo import (
     QuboInstance,
     SaSchedule,
     Selection,
-    export_qubo,
     qbp_energy,
     qbp_to_qubo,
     qubo_energy,
@@ -19,6 +20,7 @@ from protoqubo import (
     solve_exhaustive,
     solve_sa,
     sufficient_penalty,
+    write_qubo,
 )
 from protoqubo import accel
 
@@ -310,6 +312,13 @@ class TestSimulatedAnnealing:
         np.testing.assert_array_equal(temps, np.array([7.3]), strict=True)
 
 
+def export_qubo(q):
+    """The text `write_qubo` writes for q."""
+    out = io.StringIO()
+    write_qubo(q, out)
+    return out.getvalue()
+
+
 class TestExport:
     def parse(self, text):
         lines = text.strip().splitlines()
@@ -361,6 +370,22 @@ def sparse_symmetric(rng, n, values):
     return a + np.triu(a, 1).T
 
 
+class CharCounter:
+    """A text sink that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def mirrored(rng, n, values):
+    """A matrix of entries drawn from `values`, its upper triangle copied below without arithmetic."""
+    upper = rng.choice(values, size=(n, n))
+    return np.where(np.triu(np.ones((n, n), dtype=bool)), upper, upper.T)
+
+
 class TestExportBytes:
     @pytest.mark.parametrize("n", [1, 2, 37, 300])
     def test_matches_the_double_loop(self, n):
@@ -372,10 +397,16 @@ class TestExportBytes:
             "zero diagonal": random_symmetric(rng, n) * (1.0 - np.eye(n)),
             "negative": -np.abs(random_symmetric(rng, n)),
             "all zero": np.zeros((n, n)),
+            # -0.0 is not written, 5e-324 doubles to 1e-323, and off the
+            # diagonal entries of 2**1023 and -1.7e308 double to +-inf
+            "negative zeros": mirrored(rng, n, [-0.0, 0.0, 1.5, -2.25]),
+            "subnormals": mirrored(rng, n, [5e-324, -5e-324, -0.0, 0.0]),
+            "doubling overflows": mirrored(rng, n, [2.0**1023, -1.7e308, 1.0, 0.0]),
         }
         for name, m in matrices.items():
             q = QuboInstance(m)
-            assert export_qubo(q) == export_qubo_reference(q), name
+            with np.errstate(over="ignore"):
+                assert export_qubo(q) == export_qubo_reference(q), name
 
     @pytest.mark.parametrize("n", [37, 300])
     def test_matches_the_double_loop_on_a_penalized_kde_qubo(self, n):
@@ -385,6 +416,25 @@ class TestExportBytes:
         p = build_kde_qbp(kernel_matrix(RbfKernel(2.0), Dataset(points)), 3)
         q = qbp_to_qubo(p, sufficient_penalty(p))
         assert export_qubo(q) == export_qubo_reference(q)
+
+    def test_holds_one_row_of_text_at_a_time(self):
+        # the sink keeps only a count, so what tracemalloc sees is the
+        # writer's own text and arrays: one row at a time, not the whole file
+        from protoqubo import Dataset, RbfKernel, build_kde_qbp, kernel_matrix
+
+        n = 400
+        points = np.random.default_rng(n).normal(size=(n, 3))
+        p = build_kde_qbp(kernel_matrix(RbfKernel(2.0), Dataset(points)), 3)
+        q = qbp_to_qubo(p, sufficient_penalty(p))
+        sink = CharCounter()
+        tracemalloc.start()
+        try:
+            write_qubo(q, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 1_000_000
+        assert peak < sink.chars / 8, peak / sink.chars
 
     def test_empty_export_has_only_the_header(self):
         assert export_qubo(QuboInstance(np.zeros((3, 3)))) == "3 0\n"

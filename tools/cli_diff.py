@@ -6,11 +6,13 @@ Each SRC is a directory holding the ``protoqubo`` package (a checkout's
 ``src/``).  The script writes seeded CSV inputs to a temporary directory and
 runs a fixed list of CLI invocations against each tree, in one child
 interpreter per tree that imports the package from that tree and calls
-``protoqubo.cli.main(argv)`` in-process.  It prints every difference in exit
-code, in stdout with the ``"wall_time_s"`` lines removed, and in stderr, and
-exits 1 if there is any, 0 if there is none.  The comparison is the
-determinism contract of the CLI: given the same arguments, every output is
-byte-identical up to wall-clock times.
+``protoqubo.cli.main(argv)`` in-process.  A case that passes ``--output
+{output}`` writes to a file of its own, whose text is compared too.  It
+prints every difference in exit code, in stdout and in that file with the
+``"wall_time_s"`` lines removed, and in stderr, and exits 1 if there is any,
+0 if there is none.  The comparison is the determinism contract of the CLI:
+given the same arguments, every output is byte-identical up to wall-clock
+times.
 """
 
 from __future__ import annotations
@@ -28,22 +30,32 @@ import numpy as np
 
 WALL_TIME = re.compile(r'^\s*"wall_time_s": [^,\n]+,?\n', flags=re.M)
 
-# Runs in the child: argv lists on stdin, one result per case on stdout.
+# Runs in the child: argv lists on stdin, one result per case on stdout.  An
+# "{output}" argument becomes a per-case path in the child's own temporary
+# directory, and the file written there is returned with the case.
 CHILD = r"""
-import contextlib, io, json, sys, traceback
+import contextlib, io, json, os, sys, tempfile, traceback
 import protoqubo.cli as cli
 results = []
-for argv in json.load(sys.stdin):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        except Exception:
-            traceback.print_exc(limit=0)
-            code = "uncaught exception"
-    results.append({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()})
+with tempfile.TemporaryDirectory() as tmp:
+    for case, argv in enumerate(json.load(sys.stdin)):
+        path = os.path.join(tmp, f"{case}.out")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main([a.replace("{output}", path) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+            except Exception:
+                traceback.print_exc(limit=0)
+                code = "uncaught exception"
+        written = None
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as fh:
+                written = fh.read()
+        results.append({"code": code, "stdout": out.getvalue(),
+                        "stderr": err.getvalue().replace(path, "{output}"),
+                        "output file": written})
 json.dump(results, sys.__stdout__)
 """
 
@@ -247,6 +259,12 @@ def cases(work: Path) -> list:
     for csv, kernel in huge.items():
         out.append(["select", "--input", csv, "--k", "2", "--kernel", f"precomputed:{kernel}",
                     "--solver", "constrained"])
+    # the file that --output writes, compared like stdout
+    for form in ("med", "kde"):
+        out.append(["export-qubo", "--input", mid, "--k", "4", "--formulation", form,
+                    "--output", "{output}"])
+    out.append(["select", "--input", small, "--k", "3", "--output", "{output}"])
+    out.append(["verify", "--input", mid, "--k", "4", "--output", "{output}"])
     return out
 
 
@@ -278,13 +296,13 @@ def compare(old_src: str, new_src: str) -> tuple[list, int]:
         label = " ".join(argv).replace(tmp + os.sep, "")
         if a["code"] != b["code"]:
             diffs.append(f"{label}: exit code {a['code']!r} -> {b['code']!r}")
-        for stream in ("stdout", "stderr"):
+        for stream in ("stdout", "stderr", "output file"):
             x, y = a[stream], b[stream]
-            if stream == "stdout":
-                x, y = WALL_TIME.sub("", x), WALL_TIME.sub("", y)
+            if stream != "stderr":
+                x, y = (t if t is None else WALL_TIME.sub("", t) for t in (x, y))
             if x != y:
-                lines = difflib.unified_diff(x.splitlines(), y.splitlines(), "old", "new",
-                                             lineterm="", n=1)
+                lines = difflib.unified_diff((x or "").splitlines(), (y or "").splitlines(),
+                                             "old", "new", lineterm="", n=1)
                 diffs.append(f"{label}: {stream} differs\n" + "\n".join(list(lines)[:20]))
     return diffs, len(argvs)
 
