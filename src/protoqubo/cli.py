@@ -3,9 +3,11 @@ identity, run the k-medoids baseline, and export QUBO matrices.
 
 All subcommands read numeric CSV data and write a single JSON document, so
 runs can be scripted and diffed.  Exit codes: 0 success (or verification
-passed), 1 input error, 2 capacity error, 3 verification failed, 4 numerical
-integrity error (an internal consistency check failed, e.g. annealing energy
-drift beyond its rounding bound or a kernel that is not positive semidefinite).
+passed), 1 input error (including output that cannot be written: an
+unwritable --output, a closed stdout pipe, or an export worker that failed),
+2 capacity error, 3 verification failed, 4 numerical integrity error (an
+internal consistency check failed, e.g. annealing energy drift beyond its
+rounding bound or a kernel that is not positive semidefinite).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -236,15 +239,33 @@ def run(args) -> dict:
 
 @contextlib.contextmanager
 def _destination(output_path: Optional[str]):
-    """The opened `--output` file, or ``sys.stdout`` as it is now; an OSError is an input error."""
-    if not output_path:
-        yield sys.stdout
-        return
+    """The opened `--output` file, or ``sys.stdout`` as it is now; an OSError is an input error.
+
+    Stdout is flushed here, so a reader that closed the pipe is reported
+    here too.  After a failed stdout, fd 1 is pointed at os.devnull, so the
+    interpreter's exit-time flush of the refused text cannot fail again.
+    """
     try:
-        with open(output_path, "w") as fh:
-            yield fh
+        if output_path:
+            with open(output_path, "w") as fh:
+                yield fh
+        else:
+            yield sys.stdout
+            sys.stdout.flush()
     except OSError as exc:
-        raise InputError(f"cannot write {output_path}: {exc}") from exc
+        if not output_path:
+            _discard_stdout()
+        raise InputError(f"cannot write {output_path or 'stdout'}: {exc}") from exc
+
+
+def _discard_stdout() -> None:
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # a stream without a descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _emit_json(doc: dict, output_path: Optional[str]) -> None:
@@ -351,6 +372,9 @@ def _cmd_export(args) -> int:
     _, _, qbp, _ = prepare(args)
     lam = args.lam if args.lam is not None else sufficient_penalty(qbp)
     q = qbp_to_qubo(qbp, lam)  # folded before the output is opened, so a fold error writes nothing
+    with np.errstate(over="ignore"):
+        if not all(np.isfinite(2.0 * q.matrix[i, i + 1:]).all() for i in range(q.n)):
+            raise InputError("an off-diagonal QUBO entry overflows when the export doubles it")
     with _destination(args.output) as fh:
         write_qubo(q, fh)
     return EXIT_OK

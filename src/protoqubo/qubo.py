@@ -14,13 +14,18 @@ not checked again.
 Solvers: exhaustive enumeration (ground truth, hard-capped), enumeration of
 the feasible k-subsets, and single-bit-flip Metropolis simulated annealing.
 The enumeration and annealing inner loops live in `accel`, in numpy.
-`write_qubo` streams a QUBO to a text file or stdout one row at a time, for
-external QUBO solvers.
+`write_qubo` streams a QUBO to a text stream one row at a time, for external
+QUBO solvers.  One forked worker per available CPU formats the rows, dealt
+round robin, and sends them back over a pipe each; the calling process writes
+them in row order, so the bytes are those of the one-process loop, which runs
+instead without ``os.fork`` or with one CPU.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import signal
 import time
 from dataclasses import dataclass
 
@@ -375,18 +380,87 @@ def write_qubo(q: QuboInstance, out) -> None:
     ``i <= j``; off-diagonal values are doubled so that reading the file as an
     upper-triangular objective reproduces z^T Q z.  nnz is counted first, over
     the entries the rows write: doubling a finite nonzero never gives zero,
-    and -0.0 counts as zero either way.  Then each row is doubled, filtered
-    and written on its own, so only one row's text is held at a time.  The
-    bytes are those of a loop writing ``repr(float(2.0 * Q[i, j]))`` entry by
-    entry.
+    and -0.0 counts as zero either way.  The bytes are those of a loop
+    writing ``repr(float(2.0 * Q[i, j]))`` entry by entry.
+
+    The rows are formatted by one forked worker per available CPU (at most
+    n), dealt round robin: worker w formats rows w, w + W, ... and sends each
+    row's text, length first, down its own pipe.  This process reads the
+    rows back in row order and writes them to `out`, so it holds one row of
+    text at a time.  Without ``os.fork``, or with one CPU, the rows are
+    formatted here.  A worker that fails or dies raises `OSError`, and every
+    worker is killed and reaped before this returns or raises.
     """
     m = q.matrix
     nnz = sum(int(np.count_nonzero(m[i, i:])) for i in range(q.n))
     out.write(f"{q.n} {nnz}\n")
-    for i in range(q.n):
-        row = 2.0 * m[i, i:]
-        row[0] = m[i, i]
-        cols = np.flatnonzero(row)
-        prefix = f"{i} "
-        out.write("".join([f"{prefix}{j} {v!r}\n"
-                           for j, v in zip((cols + i).tolist(), row[cols].tolist())]))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(q.n, cpus) if hasattr(os, "fork") else 1
+    if workers < 2:
+        for i in range(q.n):
+            out.write(_row_text(m, i))
+        return
+    pids, pipes = [], []
+    try:
+        for w in range(workers):
+            r, wr = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _send_rows(m, range(w, q.n, workers), wr, pipes)
+                pids.append(pid)
+            finally:
+                os.close(wr)
+        for i in range(q.n):
+            w = i % workers
+            head = pipes[w].read(8)
+            size = int.from_bytes(head, "little")  # a head cut short reads as a smaller size
+            data = pipes[w].read(size)
+            if len(head) < 8 or len(data) < size:
+                code = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
+                pids[w] = None
+                raise OSError(f"export worker {w} ended before row {i} (exit code {code})")
+            out.write(data.decode("ascii"))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _row_text(m: np.ndarray, i: int) -> str:
+    """The export lines of row i: its diagonal entry and doubled upper entries, zeros left out."""
+    row = 2.0 * m[i, i:]
+    row[0] = m[i, i]
+    cols = np.flatnonzero(row)
+    prefix = f"{i} "
+    return "".join([f"{prefix}{j} {v!r}\n"
+                    for j, v in zip((cols + i).tolist(), row[cols].tolist())])
+
+
+def _send_rows(m: np.ndarray, rows: range, fd: int, readers: list) -> None:
+    """A forked worker's whole life: write each row's ASCII text, length first, to fd, and exit.
+
+    It first closes the read ends it inherited (`readers`), so that once the
+    parent is gone nothing reads any pipe and the next write fails: a worker
+    never outlives its parent blocked on a full pipe.  It leaves through
+    ``os._exit`` on every path, so it never returns into the caller's stack,
+    flushes the parent's inherited buffers or runs ``atexit``; a failure
+    shows as an early end of the pipe.
+    """
+    code = 1
+    try:
+        for reader in readers:
+            os.close(reader.fileno())
+        with open(fd, "wb") as pipe:
+            for i in rows:
+                data = _row_text(m, i).encode("ascii")
+                pipe.write(len(data).to_bytes(8, "little"))
+                pipe.write(data)
+                pipe.flush()
+        code = 0
+    finally:
+        os._exit(code)

@@ -1,6 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +291,11 @@ class TestValidateOnce:
         assert lines[0] == f"200 {len(lines) - 1}"
 
 
+def read_to_the_end(fd):
+    while os.read(fd, 1 << 16):
+        pass
+
+
 def strip_wall_time(text: str) -> str:
     return re.sub(r'^\s*"wall_time_s": [^,\n]+,?\n', "", text, flags=re.M)
 
@@ -399,6 +409,109 @@ class TestMainEntry:
         assert code == 1 and captured.out == ""
         assert captured.err == "protoqubo: input error: QUBO matrix contains non-finite entries\n"
         assert out.read_bytes() == b"2 1\n0 0 1.0\n"
+
+    def test_export_whose_doubling_overflows_is_an_input_error(self, tmp_path, capsys):
+        # the fold is finite, but the export doubles 9e307 + 1 off the diagonal
+        data = tmp_path / "points.csv"
+        data.write_text("0\n1\n")
+        kernel = tmp_path / "kernel.csv"
+        kernel.write_text("1,9e307\n9e307,1\n")
+        out = tmp_path / "q.txt"
+        out.write_bytes(b"2 1\n0 0 1.0\n")
+        code = main(["export-qubo", "--input", str(data), "--kernel", f"precomputed:{kernel}",
+                     "--k", "1", "--lambda", "1", "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("protoqubo: input error: an off-diagonal QUBO entry "
+                                "overflows when the export doubles it\n")
+        assert out.read_bytes() == b"2 1\n0 0 1.0\n"
+
+    def test_failed_export_worker_exits_one(self, blob_file, tmp_path, monkeypatch, capsys):
+        from protoqubo import qubo
+
+        row_text = qubo._row_text
+
+        def breaks_at_row_5(m, i):
+            if i == 5:
+                raise ValueError("row 5")
+            return row_text(m, i)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(qubo, "_row_text", breaks_at_row_5)
+        out = tmp_path / "q.txt"
+        code = main(["export-qubo", "--input", blob_file, "--k", "3", "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"protoqubo: input error: cannot write {out}: "
+                                "export worker 1 ended before row 5 (exit code 1)\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_closed_stdout_pipe_is_one_line(self, tmp_path):
+        # the reader takes 100 bytes of a ~500 kB export and closes the pipe;
+        # the wrapper exits 99 if main left a row worker behind
+        data = tmp_path / "points.csv"
+        points = np.random.default_rng(5).normal(size=(200, 3))
+        data.write_text("\n".join(",".join(map(repr, row)) for row in points.tolist()) + "\n")
+        code = ("import os, sys\n"
+                "from protoqubo.cli import main\n"
+                "rc = main(sys.argv[1:])\n"
+                "try:\n"
+                "    os.waitpid(-1, os.WNOHANG)\n"
+                "except ChildProcessError:\n"
+                "    sys.exit(rc)\n"
+                "sys.exit(99)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        err = tmp_path / "stderr.txt"
+        with open(err, "wb") as err_file:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", code, "export-qubo", "--input", str(data), "--k", "3"],
+                stdout=subprocess.PIPE, stderr=err_file,
+                env={**os.environ, "PYTHONPATH": str(src)})
+        try:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
+            proc.wait()
+        assert err.read_text() == ("protoqubo: input error: cannot write stdout: "
+                                   "[Errno 32] Broken pipe\n")
+
+    def test_row_workers_exit_when_the_export_is_killed(self, tmp_path):
+        # the workers inherit the export's stdout, so the pipe reaches its end
+        # only once they are gone; they block on full row pipes when it dies
+        data = tmp_path / "points.csv"
+        points = np.random.default_rng(6).normal(size=(300, 3))
+        data.write_text("\n".join(",".join(map(repr, row)) for row in points.tolist()) + "\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "protoqubo.cli", "export-qubo", "--input", str(data),
+             "--k", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        try:
+            assert len(proc.stdout.read(100)) == 100
+            proc.kill()
+            proc.wait(timeout=60)
+            reader = threading.Thread(target=read_to_the_end, args=(proc.stdout.fileno(),),
+                                      daemon=True)
+            reader.start()
+            reader.join(timeout=60)
+            assert not reader.is_alive(), "a row worker outlived the killed export"
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+
+    def test_importing_the_cli_loads_no_process_pool(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys, protoqubo.cli; print([name in sys.modules "
+                "for name in ('multiprocessing', 'concurrent.futures')])")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[False, False]\n"
 
     def test_input_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

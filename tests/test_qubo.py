@@ -1,5 +1,7 @@
 import io
 import itertools
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -22,7 +24,7 @@ from protoqubo import (
     sufficient_penalty,
     write_qubo,
 )
-from protoqubo import accel
+from protoqubo import accel, qubo
 
 
 def brute_force_qubo(Q):
@@ -386,9 +388,34 @@ def mirrored(rng, n, values):
     return np.where(np.triu(np.ones((n, n), dtype=bool)), upper, upper.T)
 
 
+def penalized_kde_qubo(n):
+    from protoqubo import Dataset, RbfKernel, build_kde_qbp, kernel_matrix
+
+    points = np.random.default_rng(n).normal(size=(n, 3))
+    p = build_kde_qbp(kernel_matrix(RbfKernel(2.0), Dataset(points)), 3)
+    return qbp_to_qubo(p, sufficient_penalty(p))
+
+
+def available_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def assert_export_on_each_cpu_count(monkeypatch, q, name):
+    """The export is the loop's with 1, 2 and 3 CPUs (in process, then 2 and 3 row workers)."""
+    expected = export_qubo_reference(q)
+    for cpus in (1, 2, 3):
+        available_cpus(monkeypatch, cpus)
+        assert export_qubo(q) == expected, (name, cpus)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestExportBytes:
     @pytest.mark.parametrize("n", [1, 2, 37, 300])
-    def test_matches_the_double_loop(self, n):
+    def test_matches_the_double_loop(self, n, monkeypatch):
         rng = np.random.default_rng(n)
         magnitudes = 10.0 ** rng.integers(-8, 9, size=(n, n))
         matrices = {
@@ -404,18 +431,12 @@ class TestExportBytes:
             "doubling overflows": mirrored(rng, n, [2.0**1023, -1.7e308, 1.0, 0.0]),
         }
         for name, m in matrices.items():
-            q = QuboInstance(m)
             with np.errstate(over="ignore"):
-                assert export_qubo(q) == export_qubo_reference(q), name
+                assert_export_on_each_cpu_count(monkeypatch, QuboInstance(m), name)
 
     @pytest.mark.parametrize("n", [37, 300])
-    def test_matches_the_double_loop_on_a_penalized_kde_qubo(self, n):
-        from protoqubo import Dataset, RbfKernel, build_kde_qbp, kernel_matrix
-
-        points = np.random.default_rng(n).normal(size=(n, 3))
-        p = build_kde_qbp(kernel_matrix(RbfKernel(2.0), Dataset(points)), 3)
-        q = qbp_to_qubo(p, sufficient_penalty(p))
-        assert export_qubo(q) == export_qubo_reference(q)
+    def test_matches_the_double_loop_on_a_penalized_kde_qubo(self, n, monkeypatch):
+        assert_export_on_each_cpu_count(monkeypatch, penalized_kde_qubo(n), "kde")
 
     def test_holds_one_row_of_text_at_a_time(self):
         # the sink keeps only a count, so what tracemalloc sees is the
@@ -438,3 +459,61 @@ class TestExportBytes:
 
     def test_empty_export_has_only_the_header(self):
         assert export_qubo(QuboInstance(np.zeros((3, 3)))) == "3 0\n"
+
+
+class FailingSink(CharCounter):
+    """A text sink whose write raises OSError once it has taken `writes` writes."""
+
+    def __init__(self, writes):
+        super().__init__()
+        self.writes = writes
+
+    def write(self, text):
+        if self.writes == 0:
+            raise OSError("sink is full")
+        self.writes -= 1
+        super().write(text)
+
+
+class TestExportWorkers:
+    def test_a_failing_sink_stops_and_reaps_every_worker(self, monkeypatch):
+        available_cpus(monkeypatch, 2)
+        sink = FailingSink(writes=20)
+        with pytest.raises(OSError, match="sink is full"):
+            write_qubo(penalized_kde_qubo(300), sink)
+        assert sink.chars > 0
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failure, code", [("raises", 1), ("is killed", -9)])
+    def test_a_failing_worker_is_an_error(self, monkeypatch, failure, code):
+        row_text = qubo._row_text
+
+        def breaks_at_row_5(m, i):
+            if i == 5:
+                if failure == "is killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ValueError("row 5")
+            return row_text(m, i)
+
+        available_cpus(monkeypatch, 2)
+        monkeypatch.setattr(qubo, "_row_text", breaks_at_row_5)
+        sink = CharCounter()
+        message = rf"^export worker 1 ended before row 5 \(exit code {code}\)$"
+        with pytest.raises(OSError, match=message):
+            write_qubo(penalized_kde_qubo(37), sink)
+        assert sink.chars > 0
+        assert_no_child_left()
+
+    def test_one_cpu_or_no_fork_formats_in_process(self, monkeypatch):
+        # the in-process loop raises the row's own error; no worker is started
+        def broken(m, i):
+            raise ValueError(f"row {i}")
+
+        monkeypatch.setattr(qubo, "_row_text", broken)
+        available_cpus(monkeypatch, 1)
+        with pytest.raises(ValueError, match="row 0"):
+            write_qubo(penalized_kde_qubo(37), CharCounter())
+        available_cpus(monkeypatch, 2)
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(ValueError, match="row 0"):
+            write_qubo(penalized_kde_qubo(37), CharCounter())
