@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import os
+import stat
 import sys
 import time
 from dataclasses import asdict, replace
@@ -210,14 +211,7 @@ def run(args) -> dict:
             "gamma": gamma if args.formulation == "med" else None,
             "lambda": lam,
             "solver": args.solver,
-            "sa_schedule": {
-                "t_start": schedule.t_start,
-                "t_end": schedule.t_end,
-                "sweeps": schedule.sweeps,
-                "restarts": schedule.restarts,
-            }
-            if args.solver == "sa"
-            else None,
+            "sa_schedule": asdict(schedule) if args.solver == "sa" else None,
             "seed": args.seed,
         },
         solver_stats={
@@ -247,7 +241,7 @@ def _destination(output_path: Optional[str]):
     """
     try:
         if output_path:
-            with open(output_path, "w") as fh:
+            with _whole_file(output_path) as fh:
                 yield fh
         else:
             yield sys.stdout
@@ -256,6 +250,43 @@ def _destination(output_path: Optional[str]):
         if not output_path:
             _discard_stdout()
         raise InputError(f"cannot write {output_path or 'stdout'}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _whole_file(path: str):
+    """`path` opened for writing, so that a failed write leaves the old file, or none.
+
+    A new path or a regular file is written to a temporary file beside it,
+    which replaces it, with the old file's permission bits, only once the
+    body succeeds; on any failure the temporary file is removed.  A target
+    that is not a regular file (a symlink, a FIFO, a device such as
+    /dev/stdout), or one beside which no file can be made, is written
+    directly, so its errors name `path` itself.
+    """
+    try:
+        old = os.lstat(path)
+    except OSError:
+        old = None
+    fd = None
+    if old is None or stat.S_ISREG(old.st_mode):
+        head, tail = os.path.split(path)
+        tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}")
+        with contextlib.suppress(OSError):
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # open()'s mode
+    if fd is None:
+        with open(path, "w") as fh:
+            yield fh
+        return
+    try:
+        with open(fd, "w") as fh:
+            yield fh
+        if old is not None:
+            os.chmod(tmp, stat.S_IMODE(old.st_mode))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _discard_stdout() -> None:

@@ -14,12 +14,16 @@ adds the coordinate terms ``(x_c - y_c)**2`` or ``|x_c - y_c|`` in coordinate
 order, so `eval_kernel`, the densities and `kernel_matrix` return the same
 doubles for the same pair of points.
 
-Matrices are validated once, where they enter the package: the public
-constructors of the matrix types here and in `qubo` copy, check, and mirror
+Matrices are validated once, where they enter the package from outside: a
+precomputed kernel and the arrays passed to the public constructors of the
+matrix types here and in `qubo`.  Those constructors copy, check, and mirror
 the upper triangle onto the lower, so a lower entry may move by at most
-``SYMMETRY_TOL``.  What the package derives from a validated matrix (``1 - K``,
-``-D``, ``A + lam``) is then exactly symmetric by construction, so it is
-wrapped by `_derived` without a second n^2 copy and check.
+``SYMMETRY_TOL``.  Every matrix the package computes is exactly symmetric by
+construction, so `_derived` wraps it without a second n^2 copy and check:
+`kernel_matrix` and `euclidean_distance_matrix` from checked points, and what
+is derived from a validated matrix (``1 - K``, ``-D``, ``A + lam``).  The one
+check kept on computed matrices is that Euclidean distances are finite: a
+coordinate difference of finite points, or its square, can overflow.
 """
 
 from __future__ import annotations
@@ -34,18 +38,17 @@ from .errors import InputError, PreconditionError
 SYMMETRY_TOL = 1e-12
 DIAGONAL_TOL = 1e-12
 NEGATIVE_CLAMP = -1e-12
-_TILE = 256
 _ROW_BLOCK = 16
 
 
 def _symmetric_matrix(entries, name: str) -> np.ndarray:
     """Check that a matrix is square, non-empty, finite and symmetric; return a fresh copy.
 
-    The one validator of every n-by-n matrix type in the package.  Symmetry is
-    checked tile by tile against the mirrored tile, which reads the transpose
-    in cache-sized blocks with tile-sized temporaries; the max skew is the
-    same as that of ``|M - M^T|``.  A tile with nonzero skew then takes the
-    upper entries of its mirror, so the copy is exactly symmetric.
+    The one validator of every n-by-n matrix that enters the package.  Row i's
+    upper part ``m[i, i:]`` is compared with the lower part of column i, so
+    the temporaries are row-sized and the max skew is that of ``|M - M^T|``.
+    With a nonzero skew within tolerance, each row's upper part is then
+    copied onto its column, so the copy is exactly symmetric.
     """
     m = np.array(entries, dtype=np.float64, order="C")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -55,21 +58,12 @@ def _symmetric_matrix(entries, name: str) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise InputError(f"{name} contains non-finite entries")
     n = m.shape[0]
-    skew = 0.0
-    for i in range(0, n, _TILE):
-        for j in range(i, n, _TILE):
-            upper = m[i:i + _TILE, j:j + _TILE]
-            lower = m[j:j + _TILE, i:i + _TILE]
-            tile_skew = float(np.abs(upper - lower.T).max())
-            if tile_skew > 0.0:
-                if i == j:
-                    below = np.tril_indices(upper.shape[0], -1)
-                    upper[below] = upper.T[below]
-                else:
-                    lower[...] = upper.T
-            skew = max(skew, tile_skew)
+    skew = max(float(np.abs(m[i, i:] - m[i:, i]).max()) for i in range(n))
     if skew > SYMMETRY_TOL:
         raise InputError(f"{name} is not symmetric (max |M - M^T| = {skew:.3e})")
+    if skew > 0.0:
+        for i in range(n):
+            m[i:, i] = m[i, i:]
     return m
 
 
@@ -192,7 +186,8 @@ class DistanceMatrix:
         if low < NEGATIVE_CLAMP:
             raise InputError(f"distance matrix has negative entry {low:.3e}")
         np.fill_diagonal(m, 0.0)
-        m[m < 0.0] = 0.0
+        if low < 0.0:
+            m[m < 0.0] = 0.0
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -220,6 +215,7 @@ def _kernel_row(spec: KernelSpec, x, Y: np.ndarray) -> np.ndarray:
     return _kernel_values(spec, xv[None, :], Y)[0]
 
 
+@np.errstate(over="ignore")  # an overflow is +inf: a kernel entry of 0, a distance refused
 def _pairwise(X: np.ndarray, Y: np.ndarray, op) -> np.ndarray:
     """``sum_c op(x_c - y_c)`` for every row x of X and row y of Y, ``_ROW_BLOCK`` rows at a time.
 
@@ -239,6 +235,7 @@ def _pairwise(X: np.ndarray, Y: np.ndarray, op) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore")  # s / h overflows only to +inf, and exp(-inf) = 0
 def _kernel_values(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """``exp(-dist(x, y) / h)`` for every row x of X and row y of Y, from one `_pairwise` call."""
     op = _METRICS.get(type(spec))
@@ -260,8 +257,11 @@ def kernel_matrix(spec: KernelSpec, data: Dataset) -> KernelMatrix:
     ``eval_kernel(spec, x_i, x_j)`` returns.  The matrix is exactly symmetric
     because each coordinate term is symmetric in IEEE arithmetic (``(a - b)**2``
     and ``|a - b|`` do not depend on the order of a and b) and (i, j) and
-    (j, i) add them in the same order.  A precomputed matrix is shared after a
-    check against the dataset size.
+    (j, i) add them in the same order.  Every entry is finite: it is
+    ``exp(-s / h)`` with s a sum of non-negative terms, so s is >= 0 or +inf
+    and never NaN, the entry lies in [0, 1], and the diagonal is exp(-0) = 1.
+    So the matrix is wrapped, not validated.  A precomputed matrix is shared
+    after a check against the dataset size.
     """
     if isinstance(spec, PrecomputedKernel):
         if spec.matrix.shape[0] != data.n:
@@ -270,7 +270,7 @@ def kernel_matrix(spec: KernelSpec, data: Dataset) -> KernelMatrix:
                 f"but the dataset has n={data.n}"
             )
         return _derived(KernelMatrix, spec.matrix)
-    return KernelMatrix(_kernel_values(spec, data.points, data.points))
+    return _derived(KernelMatrix, _kernel_values(spec, data.points, data.points))
 
 
 def kernel_to_distance(K: KernelMatrix) -> DistanceMatrix:
@@ -288,5 +288,14 @@ def kernel_to_distance(K: KernelMatrix) -> DistanceMatrix:
 
 
 def euclidean_distance_matrix(data: Dataset) -> DistanceMatrix:
-    """Plain pairwise Euclidean distances of a dataset: the square root of the RBF sums."""
-    return DistanceMatrix(np.sqrt(_pairwise(data.points, data.points, np.square)))
+    """Plain pairwise Euclidean distances of a dataset: the square root of the RBF sums.
+
+    The matrix is exactly symmetric, non-negative and zero on the diagonal by
+    the construction `kernel_matrix` describes, so it is wrapped, not
+    validated.  The one check kept is finiteness: a coordinate difference of
+    finite points, or its square, can overflow to +inf (points of +-1e200).
+    """
+    d = np.sqrt(_pairwise(data.points, data.points, np.square))
+    if not np.isfinite(d.max()):
+        raise InputError("distance matrix contains non-finite entries")
+    return _derived(DistanceMatrix, d)

@@ -379,8 +379,9 @@ def write_qubo(q: QuboInstance, out) -> None:
     Header line ``n nnz``, then one ``i j value`` line per nonzero with
     ``i <= j``; off-diagonal values are doubled so that reading the file as an
     upper-triangular objective reproduces z^T Q z.  nnz is counted first, over
-    the entries the rows write: doubling a finite nonzero never gives zero,
-    and -0.0 counts as zero either way.  The bytes are those of a loop
+    the entries the rows write: Q is exactly symmetric, so its off-diagonal
+    nonzeros come in pairs; doubling a finite nonzero never gives zero, and
+    -0.0 counts as zero either way.  The bytes are those of a loop
     writing ``repr(float(2.0 * Q[i, j]))`` entry by entry.
 
     The rows are formatted by one forked worker per available CPU (at most
@@ -392,7 +393,7 @@ def write_qubo(q: QuboInstance, out) -> None:
     worker is killed and reaped before this returns or raises.
     """
     m = q.matrix
-    nnz = sum(int(np.count_nonzero(m[i, i:])) for i in range(q.n))
+    nnz = (np.count_nonzero(m) + np.count_nonzero(m.diagonal())) // 2
     out.write(f"{q.n} {nnz}\n")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(q.n, cpus) if hasattr(os, "fork") else 1

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from protoqubo import InputError
 from protoqubo.cli import build_parser, ingest_csv, main, parse_kernel, run
 
 TWO_POINT_CSV = f"0\n{math.sqrt(2.0)!r}\n"
+FAR_POINTS_CSV = "1e200,0\n-1e200,0\n0,1\n"  # coordinate differences whose squares overflow
+NON_FINITE_DISTANCES = "protoqubo: input error: distance matrix contains non-finite entries\n"
 
 
 @pytest.fixture
@@ -245,21 +248,29 @@ class TestValidateOnce:
             "baseline"])
     @pytest.mark.parametrize("kernel", ["rbf", "precomputed"])
     def test_one_validation_per_matrix_read(self, tmp_path, capsys, validations, argv, kernel):
-        # the kernel (or, for a kernel-less baseline, the distance matrix) is
-        # the one matrix that enters from outside; everything derived from it
-        # is exactly symmetric by construction and is not checked again
+        # a precomputed kernel is the one matrix that enters from outside; a
+        # kernel computed from points, and everything derived from either, is
+        # exactly symmetric by construction and is not checked
         points, spec = noisy_gram_files(tmp_path, 12, 0)
         if kernel == "rbf":
             spec = "rbf:2.0"
         assert main([*argv, "--input", points, "--kernel", spec, "--k", "2"]) == 0
         capsys.readouterr()
-        assert len(validations) == 1, validations
+        assert len(validations) == (1 if kernel == "precomputed" else 0), validations
 
-    def test_kernel_less_baseline_validates_its_distance_matrix(self, blob_file, capsys,
-                                                                 validations):
+    def test_kernel_less_baseline_validates_its_distance_matrix(self, blob_file, tmp_path,
+                                                                 capsys, validations):
+        # the Euclidean distances are computed, so only their finiteness is
+        # checked: the squared difference of +-1e200 overflows
         assert main(["baseline", "--input", blob_file, "--k", "2"]) == 0
         capsys.readouterr()
-        assert validations == ["distance matrix"]
+        assert validations == []
+        far = tmp_path / "far.csv"
+        far.write_text(FAR_POINTS_CSV)
+        assert main(["baseline", "--input", str(far), "--k", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == NON_FINITE_DISTANCES
 
     def test_kernel_symmetric_within_tolerance_folds_to_a_symmetric_qubo(
             self, tmp_path, capsys, monkeypatch):
@@ -289,6 +300,44 @@ class TestValidateOnce:
             assert np.array_equal(q.matrix, q.matrix.T)
         lines = out.read_text().splitlines()
         assert lines[0] == f"200 {len(lines) - 1}"
+
+
+class TestOverflowWarnings:
+    # an overflow to +inf in a pairwise sum or in s / h is the right value (a
+    # kernel entry of 0, or a distance matrix refused), so no numpy warning
+    # reaches stderr, and under an "error" filter none becomes an exception
+    @pytest.mark.parametrize("rows, argv, selected, objective, mmd, scatter", [
+        (FAR_POINTS_CSV, ["--k", "2", "--kernel", "rbf:2"],
+         [0, 1], -0.6666666666666665, 0.16666666666666669, 1.0),
+        ("0,0\n1,1\n2,0\n", ["--k", "1", "--kernel", "laplacian:1e-310"],
+         [0], 0.33333333333333337, 0.6666666666666667, 2.0),
+        ("1e308,0\n-1e308,0\n0,1\n", ["--k", "1", "--kernel", "laplacian:1"],
+         [0], 0.33333333333333337, 0.6666666666666667, 2.0),
+    ], ids=["rbf-square", "laplacian-divide", "laplacian-subtract"])
+    def test_select_prints_no_warning(self, tmp_path, capsys, rows, argv, selected, objective,
+                                      mmd, scatter):
+        data = tmp_path / "points.csv"
+        data.write_text(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["select", "--input", str(data), *argv]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["selected_indices"] == selected and doc["feasible"]
+        assert (doc["objective"], doc["mmd_squared"], doc["within_scatter"]) == (
+            objective, mmd, scatter)
+
+    @pytest.mark.parametrize("rows", [FAR_POINTS_CSV, "1e308,0\n-1e308,0\n0,1\n"],
+                             ids=["square", "subtract-and-square"])
+    def test_baseline_prints_only_its_error(self, tmp_path, capsys, rows):
+        data = tmp_path / "points.csv"
+        data.write_text(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["baseline", "--input", str(data), "--k", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == NON_FINITE_DISTANCES
 
 
 def read_to_the_end(fd):
@@ -439,6 +488,7 @@ class TestMainEntry:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(qubo, "_row_text", breaks_at_row_5)
         out = tmp_path / "q.txt"
+        out.write_bytes(b"earlier valid content\n")
         code = main(["export-qubo", "--input", blob_file, "--k", "3", "--output", str(out)])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
@@ -446,6 +496,32 @@ class TestMainEntry:
                                 "export worker 1 ended before row 5 (exit code 1)\n")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        # the export went to a temporary file beside --output, now removed
+        assert out.read_bytes() == b"earlier valid content\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.csv", "q.txt"]
+
+    def test_output_keeps_mode_and_symlink(self, blob_file, tmp_path, capsys):
+        # a new file gets open()'s mode, a regular file keeps its mode, and a
+        # symlink is written through and stays a symlink
+        argv = ["export-qubo", "--input", blob_file, "--k", "2", "--output"]
+        fresh, plain = tmp_path / "fresh.txt", tmp_path / "plain.txt"
+        assert main([*argv, str(fresh)]) == 0
+        with open(tmp_path / "opened.txt", "w"):
+            pass
+        assert fresh.stat().st_mode == (tmp_path / "opened.txt").stat().st_mode
+        plain.write_text("old")
+        plain.chmod(0o640)
+        assert main([*argv, str(plain)]) == 0
+        assert plain.stat().st_mode & 0o777 == 0o640
+        assert plain.read_text() == fresh.read_text()
+        link = tmp_path / "link.txt"
+        link.symlink_to(plain)
+        plain.write_text("old")
+        assert main([*argv, str(link)]) == 0
+        capsys.readouterr()
+        assert link.is_symlink() and plain.read_text() == fresh.read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "blobs.csv", "fresh.txt", "link.txt", "opened.txt", "plain.txt"]
 
     def test_closed_stdout_pipe_is_one_line(self, tmp_path):
         # the reader takes 100 bytes of a ~500 kB export and closes the pipe;

@@ -219,9 +219,9 @@ MATRIX_TYPES = {
 
 @pytest.mark.parametrize("n", [255, 256, 257, 600])
 def test_symmetry_check_across_tile_boundaries(n):
-    # The validator compares 256x256 tiles with their mirrors: perturb one
-    # entry in an off-diagonal tile, in the last row of tiles, and inside the
-    # last (partial) diagonal tile, on either side of the diagonal.
+    # The validator compares each row's upper part with its column: perturb
+    # one entry at the end of row 1, in the middle of the last row, and beside
+    # the diagonal in the last two rows, on either side of it.
     base = symmetric_zero_diagonal(n)
     for i, j in ((1, n - 1), (n - 1, n // 2 - 1), (n - 2, n - 1), (n - 1, n - 2)):
         for name, make in MATRIX_TYPES.items():
@@ -309,6 +309,25 @@ def test_distance_matrix_clamps_in_the_last_tile():
     np.fill_diagonal(keep, False)
     np.testing.assert_array_equal(d[keep], m[keep])
     assert not d.flags.writeable
+
+
+@pytest.mark.parametrize("spec", [RbfKernel(2.0), LaplacianKernel(1.0)], ids=["rbf", "laplacian"])
+def test_kernel_matrix_of_far_points_is_wrapped_not_validated(spec, monkeypatch):
+    # differences of +-1e200 overflow to +inf, so those entries are exp(-inf) = 0;
+    # the computed matrix is exactly symmetric, so it never meets the validator
+    import protoqubo.kernels as kernels
+
+    def refused(entries, name):
+        raise AssertionError(f"{name} was validated")
+
+    monkeypatch.setattr(kernels, "_symmetric_matrix", refused)
+    K = kernel_matrix(spec, Dataset([[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0], [1e200, 1.0]]))
+    m = K.entries
+    assert np.all(np.isfinite(m)) and m.min() >= 0.0 and m.max() <= 1.0
+    assert m[0, 1] == m[1, 0] == 0.0
+    assert np.array_equal(m, m.T)
+    np.testing.assert_array_equal(np.diag(m), np.ones(4))
+    assert K.normalized and not m.flags.writeable
 
 
 def test_kernel_symmetry_in_arguments():

@@ -149,6 +149,11 @@ def cases(work: Path) -> list:
         path.write_text("".join(",".join(diagonal if c == r else "0" for c in range(n)) + "\n"
                                 for r in range(n)))
         huge[_write_csv(work / f"n{n}.csv", np.arange(2.0 * n).reshape(n, 2))] = str(path)
+    # literal points whose coordinate differences, their squares or s / h overflow
+    far = {name: _write_csv(work / f"{name}.csv", np.array(rows))
+           for name, rows in (("far200", [[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0]]),
+                              ("far308", [[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]]),
+                              ("tri", [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]))}
 
     out = []
     for kernel in ("rbf:2.0", "laplacian:1.5"):
@@ -265,6 +270,11 @@ def cases(work: Path) -> list:
                     "--output", "{output}"])
     out.append(["select", "--input", small, "--k", "3", "--output", "{output}"])
     out.append(["verify", "--input", mid, "--k", "4", "--output", "{output}"])
+    out.append(["select", "--input", far["far200"], "--k", "2", "--kernel", "rbf:2"])
+    out.append(["select", "--input", far["tri"], "--k", "1", "--kernel", "laplacian:1e-310"])
+    out.append(["select", "--input", far["far308"], "--k", "1", "--kernel", "laplacian:1"])
+    for name in ("far200", "far308"):
+        out.append(["baseline", "--input", far[name], "--k", "2"])
     return out
 
 
