@@ -349,49 +349,49 @@ def _sa_block_scan(Q, z, flips, us, temps):
     # computed once per acceptance, by the loop's formula, and every proposal
     # up to the next acceptance reads it; the first acceptance of a block is
     # applied as the loop applies it, and the scan resumes right after it.
-    # The start-up sums add the loop's terms in the loop's order, so e and h
-    # are its doubles.  The vectorized np.exp must round as the scalar one
-    # does; tests/test_backends.py checks that precondition.
+    # e and h are the loop's doubles: the start-up sums add its terms in its
+    # order, and row j of the symmetric Q is its column j.  The vectorized
+    # np.exp must round as the scalar one does (tests/test_backends.py).
     n = Q.shape[0]
     sel = np.flatnonzero(z)
-    e = np.cumsum(np.append(0.0, Q[np.ix_(sel, sel)]))[-1]
+    e = float(np.cumsum(np.append(0.0, Q[np.ix_(sel, sel)]))[-1])
     h = np.cumsum(np.column_stack((np.zeros(n), Q[:, sel])), axis=1)[:, -1].copy()
     q = Q.diagonal()
+    qz = np.where(z != 0, q, 0.0)  # qjj where z_j = 1, else 0.0
+    sign = np.where(z != 0, 1.0, -1.0)
+    neg_de, arg = np.empty(n), np.empty(n)
     best_e = e
     best_z = z.copy()
     t, size, stale = 0, SA_BLOCK, True
     while t < flips.shape[0]:
         if stale:
-            # de = qjj + 2 h_j up, -(qjj + 2 (h_j - qjj)) down.  exp sees -de / T
-            # of an uphill flip, the loop's argument, and 0 for a downhill one,
-            # which the loop accepts without calling exp, so nothing overflows.
-            down = z != 0
-            de = np.where(down, h - q, h)
-            de *= 2.0
-            de += q
-            np.negative(de, out=de, where=down)
-            downhill = de <= 0.0
-            neg_de = np.minimum(-de, 0.0)
+            # -de: -(qjj + 2 h_j) up, qjj + 2 (h_j - qjj) down.  exp sees -de / T
+            # uphill, the loop's argument, and 0 downhill, whose exp(0) = 1 > u
+            # accepts as the loop does without exp, so nothing overflows.
+            np.subtract(h, qz, out=neg_de)
+            neg_de *= 2.0
+            neg_de += q
+            neg_de *= sign
+            np.minimum(neg_de, 0.0, out=arg)
             stale = False
         js = flips[t : t + size]
         b = js.shape[0]
-        x = neg_de[js]
-        x /= temps[np.arange(t, t + b) // n]
+        x = arg[js]
+        x /= temps[t // n] if (t + b - 1) // n == t // n else temps[np.arange(t, t + b) // n]
         accept = us[t : t + b] < np.exp(x, out=x)
-        accept |= downhill[js]
         i = int(accept.argmax())
         if not accept[i]:
             t += b
             size = min(2 * size, SA_BLOCK_MAX)
             continue
-        j = js[i]
-        if down[j]:
-            z[j] = 0
-            h -= Q[:, j]
+        j = int(js[i])
+        if z[j]:
+            z[j], qz[j], sign[j] = 0, 0.0, -1.0
+            h -= Q[j]
         else:
-            z[j] = 1
-            h += Q[:, j]
-        e += de[j]
+            z[j], qz[j], sign[j] = 1, q[j], 1.0
+            h += Q[j]
+        e -= neg_de.item(j)
         if e < best_e:
             best_e = e
             best_z[:] = z
@@ -413,8 +413,12 @@ def sa_run(
     temperature per n proposals.  The block scan `_sa_block_scan` computes
     every energy change, acceptance test and energy update with the
     operations of the loop `_sa_sweeps`, in the same order, so a given draw
-    sequence produces the loop's trajectory.  A flip index out of range
-    raises ``IndexError``.
+    sequence produces the loop's trajectory.  That holds when Q is exactly
+    symmetric (the scan adds row j where the loop adds column j), every
+    uniform satisfies ``0 <= u < 1`` and every temperature is positive (the
+    scan accepts a downhill flip by exp(0 / T) = 1 > u, where the loop
+    accepts it without a test); `solve_sa` passes such arguments.  A flip
+    index out of range raises ``IndexError``.
     """
     Q = np.ascontiguousarray(Q, dtype=np.float64)
     z = np.array(z0, dtype=np.int8)

@@ -31,6 +31,7 @@ from .density import mmd_squared
 from .errors import CapacityError, InputError, NumericalIntegrityError
 from .formulations import build_kde_qbp, build_med_qbp, verify_equivalence
 from .kernels import (
+    NEGATIVE_CLAMP,
     Dataset,
     DistanceMatrix,
     KernelMatrix,
@@ -170,11 +171,26 @@ def _provenance(args, config_extra: dict, **top) -> dict:
 
 
 def _selection_scatter(K, D, sel: Selection) -> Optional[float]:
-    """Scatter of the selection used as a medoid set, under D = 1 - K (built here if not given)."""
+    """Scatter of the selection used as a medoid set, under D = 1 - K.
+
+    Without the med program's D, only the k selected columns of 1 - K are
+    formed, with `kernel_to_distance`'s checks, zero diagonal and clamp, so
+    the scatter is the same double.  Rounding is monotone, so the least
+    entry of 1 - K is 1 - max K.
+    """
     if not K.normalized:
         return None
-    d = (D if D is not None else kernel_to_distance(K)).entries
-    return float(d[:, sel.indices].min(axis=1).sum())
+    idx = sel.indices
+    if D is not None:
+        d = D.entries[:, idx]
+    else:
+        low = 1.0 - K.entries.max()
+        if low < NEGATIVE_CLAMP:
+            raise InputError(f"distance matrix has negative entry {low:.3e}")
+        d = 1.0 - K.entries[:, idx]
+        d[idx, np.arange(idx.size)] = 0.0
+        d[d < 0.0] = 0.0
+    return float(d.min(axis=1).sum())
 
 
 def run(args) -> dict:

@@ -659,6 +659,54 @@ def test_block_scan_applies_only_the_first_acceptance_of_a_block():
     assert e == -1.0
 
 
+@pytest.mark.parametrize("blocks", [(accel.SA_BLOCK, accel.SA_BLOCK_MAX), (3, 7)])
+def test_block_across_a_sweep_boundary_uses_each_proposals_temperature(monkeypatch, blocks):
+    # The cold first sweep rejects its uphill proposals; the first proposal of
+    # the hot second sweep, at t = n, lifts bit 0 uphill, and bit 1 then
+    # follows downhill to the best state.  Scored at the block's first
+    # temperature, t = n would be rejected and the best would stay the start.
+    monkeypatch.setattr(accel, "SA_BLOCK", blocks[0])
+    monkeypatch.setattr(accel, "SA_BLOCK_MAX", blocks[1])
+    n = 8
+    start, size = 0, blocks[0]
+    while start + size <= n:
+        start, size = start + size, min(2 * size, blocks[1])
+    assert start < n  # the block holding t = n began in the first sweep
+    Q = np.diag([1.0, 1.0, *[1e6] * (n - 2)])
+    Q[0, 1] = Q[1, 0] = -3.0
+    flips = np.array([0, 1] * 4 + list(range(n)) + [2, 3, 4, 5, 6, 7, 2, 3])
+    z, e = assert_block_scan_matches_loop(Q, np.zeros(n), flips, np.full(3 * n, 0.5),
+                                          np.array([1e-3, 1e3, 1e-3]))
+    np.testing.assert_array_equal(z, [1, 1, 0, 0, 0, 0, 0, 0])
+    assert e == -4.0
+
+
+def test_block_scan_on_signed_zero_energy_changes():
+    # q_jj = -0.0 and zero couplings: flipping bit 0 or 1 up gives
+    # de = -0.0 + 2 * 0.0 = +0.0 and down -(-0.0 + 2 (0.0 + 0.0)) = -0.0, both
+    # accepted; bits 2 and 3 anneal as usual beside them
+    Q = np.array([[-0.0, -0.0, 0.0, -0.0],
+                  [-0.0, -0.0, -0.0, 0.0],
+                  [0.0, -0.0, -1.0, 1.5],
+                  [-0.0, 0.0, 1.5, -2.0]])
+    rng = np.random.default_rng(86)
+    for z0 in ([0, 0, 0, 0], [1, 1, 1, 1], [1, 0, 0, 1]):
+        flips = rng.integers(0, 4, 400)
+        z, e = assert_block_scan_matches_loop(Q, np.array(z0), flips, rng.random(400),
+                                              np.geomspace(2.0, 1e-3, 100))
+        assert e == -2.0
+
+
+def test_downhill_flip_is_accepted_at_the_largest_uniform():
+    # u = nextafter(1, 0) is the largest draw below 1; the loop accepts a
+    # downhill flip without a test, and the scan by exp(0) = 1 > u
+    n = 4
+    Q = np.diag([-1e-300, -5e-324, -1.0, -2.0])
+    u = np.full(n, np.nextafter(1.0, 0.0))
+    z, e = assert_block_scan_matches_loop(Q, np.zeros(n), np.arange(n), u, np.array([1e-3]))
+    assert z.all() and e == -3.0
+
+
 def test_vectorized_exp_rounds_as_the_scalar_exp():
     # The block scan calls np.exp on arrays of up to SA_BLOCK_MAX entries,
     # where the loop calls it on one double; numpy picks its SIMD exp per CPU,

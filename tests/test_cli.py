@@ -182,13 +182,14 @@ class TestRun:
 
     @pytest.mark.parametrize("argv, builds", [
         (["select", "--formulation", "med"], 1),
-        (["select", "--formulation", "kde"], 1),
+        (["select", "--formulation", "kde"], 0),
         (["export-qubo", "--formulation", "med"], 1),
         (["export-qubo", "--formulation", "kde"], 0),
     ], ids=["select-med", "select-kde", "export-med", "export-kde"])
     def test_complement_distance_is_built_at_most_once(self, blob_file, monkeypatch, capsys,
                                                       argv, builds):
-        # the med program's D = 1 - K also gives the selection's scatter
+        # the med program's D = 1 - K also gives the selection's scatter; kde
+        # scores its scatter from the selected columns of 1 - K alone
         import protoqubo.cli as cli
 
         calls = []
@@ -202,6 +203,42 @@ class TestRun:
         assert main([*argv, "--input", blob_file, "--k", "2"]) == 0
         capsys.readouterr()
         assert len(calls) == builds
+
+    def test_kde_scatter_is_that_of_the_whole_complement(self, tmp_path):
+        # six points, each twice, under a precomputed kernel with noise of
+        # +-5e-13: diagonal entries off 1 and duplicate entries above 1, which
+        # `kernel_to_distance` zeroes and clamps in D = 1 - K
+        from protoqubo import Dataset, kernel_matrix, kernel_to_distance
+
+        rng = np.random.default_rng(3)
+        x = np.repeat(rng.normal(size=(6, 2)), 2, axis=0)
+        gram = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2) / 2.0)
+        noisy = np.triu(gram + rng.uniform(-5e-13, 5e-13, size=gram.shape))
+        points, kfile = tmp_path / "x.csv", tmp_path / "k.csv"
+        np.savetxt(points, x, delimiter=",", fmt="%.17g")
+        np.savetxt(kfile, noisy + np.triu(noisy, 1).T, delimiter=",", fmt="%.17g")
+        K = kernel_matrix(parse_kernel(f"precomputed:{kfile}"), Dataset(x))
+        D = kernel_to_distance(K).entries
+        assert (np.diag(K.entries) != 1.0).all() and (1.0 - K.entries < 0.0).any()
+        for k in (1, 3, 5):
+            result = select("--input", str(points), "--kernel", f"precomputed:{kfile}",
+                            "--k", str(k), "--formulation", "kde", "--solver", "constrained")
+            idx = result["selected_indices"]
+            assert result["within_scatter"] == float(D[:, idx].min(axis=1).sum())
+
+    def test_kde_scatter_of_a_kernel_above_one_is_an_input_error(self, tmp_path, capsys):
+        # med reads D = 1 - K before it solves and kde only for the scatter;
+        # both refuse the entry 1 - 1.1 < 0 with the same line
+        points, kfile = tmp_path / "x.csv", tmp_path / "k.csv"
+        points.write_text("0\n1\n2\n")
+        kfile.write_text("1,1.1,0.2\n1.1,1,0.2\n0.2,0.2,1\n")
+        for form in ("med", "kde"):
+            for k in ("1", "2"):
+                assert main(["select", "--input", str(points), "--kernel",
+                             f"precomputed:{kfile}", "--k", k, "--formulation", form,
+                             "--solver", "constrained"]) == 1
+                assert capsys.readouterr() == (
+                    "", "protoqubo: input error: distance matrix has negative entry -1.000e-01\n")
 
 
 @pytest.fixture

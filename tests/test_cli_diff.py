@@ -1,6 +1,8 @@
-"""Smoke test of tools/cli_diff.py: a tree matches itself, and a changed output shows,
-in stdout and in a file written by ``--output``."""
+"""Smoke test of tools/cli_diff.py: a tree matches itself, a changed output shows,
+in stdout and in a file written by ``--output``, and every case shows the warnings
+it raises."""
 
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -37,3 +39,23 @@ def test_changed_export_format_is_reported(tmp_path):
         assert (f"--formulation {form} --output {{output}}: output file differs"
                 in done.stdout), done.stdout
     assert " 0 differences" not in done.stdout
+
+
+def test_each_case_shows_a_warning_an_earlier_case_raised(tmp_path):
+    # the same warning from the same line in two cases: Python's default
+    # filter would print it for the first case only
+    spec = importlib.util.spec_from_file_location("cli_diff", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    warning = tmp_path / "src"
+    shutil.copytree(SRC, warning, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = warning / "protoqubo" / "cli.py"
+    cli.write_text(cli.read_text() + (
+        "\n\n_main = main\n\n\ndef main(argv=None):\n"
+        "    import warnings\n\n"
+        "    warnings.warn(\"probe\", RuntimeWarning)\n"
+        "    return _main(argv)\n"))
+    results = tool._finish(tool._start(str(warning), [["select", "--help"]] * 2), str(warning))
+    assert [r["code"] for r in results] == [0, 0]
+    for r in results:
+        assert "RuntimeWarning: probe" in r["stderr"], r["stderr"]

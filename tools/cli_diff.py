@@ -32,16 +32,21 @@ WALL_TIME = re.compile(r'^\s*"wall_time_s": [^,\n]+,?\n', flags=re.M)
 
 # Runs in the child: argv lists on stdin, one result per case on stdout.  An
 # "{output}" argument becomes a per-case path in the child's own temporary
-# directory, and the file written there is returned with the case.
+# directory, and the file written there is returned with the case.  Every
+# case shows every warning it raises: the default filter would print a
+# warning once per code location, so a later case raising it would show none.
 CHILD = r"""
-import contextlib, io, json, os, sys, tempfile, traceback
+import contextlib, io, json, os, sys, tempfile, traceback, warnings
 import protoqubo.cli as cli
 results = []
 with tempfile.TemporaryDirectory() as tmp:
     for case, argv in enumerate(json.load(sys.stdin)):
         path = os.path.join(tmp, f"{case}.out")
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.resetwarnings()
+            warnings.simplefilter("always")
             try:
                 code = cli.main([a.replace("{output}", path) for a in argv])
             except SystemExit as exc:
@@ -154,6 +159,18 @@ def cases(work: Path) -> list:
            for name, rows in (("far200", [[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0]]),
                               ("far308", [[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]]),
                               ("tri", [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]))}
+    # drawn after every other input: six points, each twice, under a kernel
+    # with noise of +-5e-13 (upper triangle mirrored), whose D = 1 - K is
+    # zeroed on the diagonal and clamped at the duplicates; and a kernel with
+    # an entry above 1, which D refuses
+    twice = np.repeat(rng.normal(size=(6, 2)), 2, axis=0)
+    gram = np.exp(-((twice[:, None, :] - twice[None, :, :]) ** 2).sum(axis=2) / 2.0)
+    gram = np.triu(gram + rng.uniform(-5e-13, 5e-13, size=gram.shape))
+    twice_kernel = _write_csv(work / "k12twice.csv", gram + np.triu(gram, 1).T)
+    twice = _write_csv(work / "n12twice.csv", twice)
+    above = _write_csv(work / "k3above.csv", np.array([[1.0, 1.1, 0.2], [1.1, 1.0, 0.2],
+                                                       [0.2, 0.2, 1.0]]))
+    line = _write_csv(work / "n3.csv", np.arange(3.0)[:, None])
 
     out = []
     for kernel in ("rbf:2.0", "laplacian:1.5"):
@@ -275,6 +292,12 @@ def cases(work: Path) -> list:
     out.append(["select", "--input", far["far308"], "--k", "1", "--kernel", "laplacian:1"])
     for name in ("far200", "far308"):
         out.append(["baseline", "--input", far[name], "--k", "2"])
+    for k in ("1", "3", "5"):
+        out.append(["select", "--input", twice, "--k", k, "--formulation", "kde",
+                    "--kernel", f"precomputed:{twice_kernel}", "--solver", "constrained"])
+    for form in ("med", "kde"):
+        out.append(["select", "--input", line, "--k", "2", "--kernel", f"precomputed:{above}",
+                    "--formulation", form, "--solver", "constrained"])
     return out
 
 
