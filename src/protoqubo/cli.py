@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -384,6 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call rather than at import, and kept."""
+    return build_parser()
+
+
 def _cmd_select(args) -> int:
     _emit_json(run(args), args.output)
     return EXIT_OK
@@ -428,8 +435,7 @@ def _cmd_export(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "select": _cmd_select,
         "verify": _cmd_verify,

@@ -241,7 +241,9 @@ def _kernel_values(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray
     op = _METRICS.get(type(spec))
     if op is None:
         raise InputError(f"unknown kernel spec {spec!r}")
-    return np.exp(-_pairwise(X, Y, op) / spec.h)
+    s = _pairwise(X, Y, op)
+    s /= -spec.h  # x / -h is exactly -(x / h)
+    return np.exp(s, out=s)
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
@@ -295,7 +297,8 @@ def euclidean_distance_matrix(data: Dataset) -> DistanceMatrix:
     validated.  The one check kept is finiteness: a coordinate difference of
     finite points, or its square, can overflow to +inf (points of +-1e200).
     """
-    d = np.sqrt(_pairwise(data.points, data.points, np.square))
+    d = _pairwise(data.points, data.points, np.square)
+    np.sqrt(d, out=d)
     if not np.isfinite(d.max()):
         raise InputError("distance matrix contains non-finite entries")
     return _derived(DistanceMatrix, d)

@@ -15,14 +15,17 @@ Solvers: exhaustive enumeration (ground truth, hard-capped), enumeration of
 the feasible k-subsets, and single-bit-flip Metropolis simulated annealing.
 The enumeration and annealing inner loops live in `accel`, in numpy.
 `write_qubo` streams a QUBO to a text stream one row at a time, for external
-QUBO solvers.  One forked worker per available CPU formats the rows, dealt
-round robin, and sends them back over a pipe each; the calling process writes
-them in row order, so the bytes are those of the one-process loop, which runs
-instead without ``os.fork`` or with one CPU.
+QUBO solvers.  Each row's lines are one ``%`` over a row template, whose
+``%r`` fields write the bytes of a ``repr`` loop over the entries.  One forked
+worker per available CPU formats the rows, dealt round robin, and sends them
+back over a pipe each; the calling process writes them in row order, so the
+bytes are those of the one-process loop, which runs instead without
+``os.fork`` or with one CPU.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import signal
@@ -381,8 +384,9 @@ def write_qubo(q: QuboInstance, out) -> None:
     upper-triangular objective reproduces z^T Q z.  nnz is counted first, over
     the entries the rows write: Q is exactly symmetric, so its off-diagonal
     nonzeros come in pairs; doubling a finite nonzero never gives zero, and
-    -0.0 counts as zero either way.  The bytes are those of a loop
-    writing ``repr(float(2.0 * Q[i, j]))`` entry by entry.
+    -0.0 counts as zero either way.  Each row is formatted by one ``%`` over
+    a template joined from per-column ``"j %r"`` tails, so the bytes are those
+    of a loop writing ``repr(float(2.0 * Q[i, j]))`` entry by entry.
 
     The rows are formatted by one forked worker per available CPU (at most
     n), dealt round robin: worker w formats rows w, w + W, ... and sends each
@@ -432,14 +436,23 @@ def write_qubo(q: QuboInstance, out) -> None:
                 os.waitpid(pid, 0)
 
 
+@functools.lru_cache(maxsize=1)
+def _column_table(n: int) -> np.ndarray:
+    """Read-only object array of the line tails ``"j %r"``, one per column of an n-column QUBO."""
+    table = np.array([f"{j} %r" for j in range(n)], dtype=object)
+    table.setflags(write=False)
+    return table
+
+
 def _row_text(m: np.ndarray, i: int) -> str:
     """The export lines of row i: its diagonal entry and doubled upper entries, zeros left out."""
     row = 2.0 * m[i, i:]
     row[0] = m[i, i]
     cols = np.flatnonzero(row)
-    prefix = f"{i} "
-    return "".join([f"{prefix}{j} {v!r}\n"
-                    for j, v in zip((cols + i).tolist(), row[cols].tolist())])
+    if cols.size == 0:
+        return ""
+    template = f"{i} " + f"\n{i} ".join(_column_table(m.shape[0])[cols + i].tolist()) + "\n"
+    return template % tuple(row[cols].tolist())
 
 
 def _send_rows(m: np.ndarray, rows: range, fd: int, readers: list) -> None:

@@ -626,6 +626,65 @@ class TestMainEntry:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[False, False]\n"
 
+    def test_main_builds_the_parser_once(self, blob_file, monkeypatch, capsys):
+        import protoqubo.cli as cli
+
+        built = []
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            for argv in (["baseline", "--input", blob_file, "--k", "2"],
+                         ["select", "--input", blob_file, "--k", "2", "--gamma", "0.7"],
+                         ["verify", "--input", blob_file, "--k", "2", "--lambda", "3"]):
+                main(argv)
+            with pytest.raises(SystemExit):
+                main(["select", "--input", blob_file])
+        finally:
+            cli._parser.cache_clear()
+        capsys.readouterr()
+        assert len(built) == 1
+
+    def test_a_failing_call_after_another_reads_as_in_a_fresh_process(self, blob_file):
+        # the kept parser carries nothing from one call to the next: each
+        # failure gives the code, stdout and stderr of a process that ran it alone
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = r"""
+import contextlib, io, json, sys
+from protoqubo.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    results.append([rc, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+        def run_in_child(argvs):
+            done = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                                  capture_output=True, text=True, timeout=120,
+                                  env={**os.environ, "PYTHONPATH": str(src)})
+            assert done.returncode == 0, done.stderr
+            return json.loads(done.stdout)
+
+        passing = ["select", "--input", blob_file, "--k", "2", "--formulation", "med",
+                   "--gamma", "0.7", "--solver", "sa", "--sweeps", "50", "--seed", "3"]
+        failing = [["select", "--input", blob_file, "--k", "2", "--gamma", "0.7"],
+                   ["select", "--input", blob_file, "--solver", "sa"]]
+        after = run_in_child([passing, failing[0], passing, failing[1]])
+        assert after[0][0] == after[2][0] == 0
+        for call, alone in zip((after[1], after[3]), failing):
+            assert call[0] == 1
+            assert call == run_in_child([alone])[0]
+
     def test_input_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n3\n")

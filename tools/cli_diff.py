@@ -171,6 +171,14 @@ def cases(work: Path) -> list:
     above = _write_csv(work / "k3above.csv", np.array([[1.0, 1.1, 0.2], [1.1, 1.0, 0.2],
                                                        [0.2, 0.2, 1.0]]))
     line = _write_csv(work / "n3.csv", np.arange(3.0)[:, None])
+    # kernels on the 4 points of n4.csv whose kde fold at lambda 1 has exact
+    # zeros: off-diagonal -1 leaves rows holding their diagonal alone (k 1),
+    # every row empty (k 2), or rows 0 and 1 empty and row 3 its diagonal alone
+    # (k 2, with one pair at 0.5)
+    minus = 2.0 * np.eye(4) - 1.0
+    minus_kernel = _write_csv(work / "k4minus.csv", minus)
+    minus[2:, 2:] = [[1.0, 0.5], [0.5, 1.0]]
+    mixed_kernel = _write_csv(work / "k4mixed.csv", minus)
 
     out = []
     for kernel in ("rbf:2.0", "laplacian:1.5"):
@@ -298,6 +306,9 @@ def cases(work: Path) -> list:
     for form in ("med", "kde"):
         out.append(["select", "--input", line, "--k", "2", "--kernel", f"precomputed:{above}",
                     "--formulation", form, "--solver", "constrained"])
+    for kernel, k in ((minus_kernel, "1"), (minus_kernel, "2"), (mixed_kernel, "2")):
+        out.append(["export-qubo", "--input", quad, "--k", k, "--kernel", f"precomputed:{kernel}",
+                    "--formulation", "kde", "--lambda", "1"])
     return out
 
 
