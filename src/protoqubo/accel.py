@@ -270,6 +270,8 @@ def constrained_best(A: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, 
     if j == 0:
         T, E = _colex_table(A, b, 1, n)
         i = _first_min(E)
+        if not E[i] < math.inf:
+            raise InputError("every 1-subset's energy overflows")
         return T[i].astype(np.int64), float(E[i])
     T, E = _colex_table(A, b, j, n - 1)
     # the least and the greatest energy of the table rows below each top
@@ -400,6 +402,7 @@ def _sa_block_scan(Q, z, flips, us, temps):
     return best_z, best_e
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sa_run(
     Q: np.ndarray,
     z0: np.ndarray,

@@ -34,7 +34,6 @@ from .formulations import build_kde_qbp, build_med_qbp, verify_equivalence
 from .kernels import (
     NEGATIVE_CLAMP,
     Dataset,
-    DistanceMatrix,
     KernelMatrix,
     KernelSpec,
     LaplacianKernel,
@@ -136,12 +135,12 @@ def _load(args) -> tuple[Dataset, Optional[KernelMatrix]]:
     return data, None if args.kernel is None else kernel_matrix(parse_kernel(args.kernel), data)
 
 
-def prepare(args) -> tuple[KernelMatrix, Optional[DistanceMatrix], QbpInstance, float]:
+def prepare(args) -> tuple[KernelMatrix, QbpInstance, float]:
     """Check gamma, load the data and kernel, and build the constrained program.
 
-    Returns the kernel matrix, the med program's distance matrix D = 1 - K
-    (None for kde), the program, and the gamma in effect (the given one, or
-    2k/n, at which med and kde coincide).
+    Returns the kernel matrix, the program, and the gamma in effect (the
+    given one, or 2k/n, at which med and kde coincide).  The med program's
+    D = 1 - K is dropped once the program is built.
     """
     if args.formulation != "med" and args.gamma is not None:
         raise InputError("--gamma applies to the med formulation only")
@@ -150,9 +149,8 @@ def prepare(args) -> tuple[KernelMatrix, Optional[DistanceMatrix], QbpInstance, 
         raise InputError(f"cardinality k={args.k} out of range [1, {data.n}]")
     gamma = args.gamma if args.gamma is not None else 2.0 * args.k / data.n
     if args.formulation == "med":
-        D = kernel_to_distance(K)
-        return K, D, build_med_qbp(D, gamma, args.k), gamma
-    return K, None, build_kde_qbp(K, args.k), gamma
+        return K, build_med_qbp(kernel_to_distance(K), gamma, args.k), gamma
+    return K, build_kde_qbp(K, args.k), gamma
 
 
 def _provenance(args, config_extra: dict, **top) -> dict:
@@ -171,34 +169,32 @@ def _provenance(args, config_extra: dict, **top) -> dict:
     }
 
 
-def _selection_scatter(K, D, sel: Selection) -> Optional[float]:
+def _selection_scatter(K, sel: Selection) -> Optional[float]:
     """Scatter of the selection used as a medoid set, under D = 1 - K.
 
-    Without the med program's D, only the k selected columns of 1 - K are
-    formed, with `kernel_to_distance`'s checks, zero diagonal and clamp, so
-    the scatter is the same double.  Rounding is monotone, so the least
-    entry of 1 - K is 1 - max K.
+    Only the k selected columns of K are read, with `kernel_to_distance`'s
+    check, zero diagonal and clamp, so the scatter is the double that the
+    whole of D gives.  Rounding is monotone, so fl(1 - max K) over a row's
+    selected columns is the least of those entries of 1 - K, and
+    1 - K.max() is the least entry of 1 - K.
     """
     if not K.normalized:
         return None
+    low = 1.0 - K.entries.max()
+    if low < NEGATIVE_CLAMP:
+        raise InputError(f"distance matrix has negative entry {low:.3e}")
     idx = sel.indices
-    if D is not None:
-        d = D.entries[:, idx]
-    else:
-        low = 1.0 - K.entries.max()
-        if low < NEGATIVE_CLAMP:
-            raise InputError(f"distance matrix has negative entry {low:.3e}")
-        d = 1.0 - K.entries[:, idx]
-        d[idx, np.arange(idx.size)] = 0.0
-        d[d < 0.0] = 0.0
-    return float(d.min(axis=1).sum())
+    d = 1.0 - K.entries[:, idx].max(axis=1)
+    d[idx] = 0.0
+    d[d < 0.0] = 0.0
+    return float(d.sum())
 
 
 def run(args) -> dict:
     """The report of a parsed `select` command line: build, solve, and score the selection."""
     # checked before any input is read, whichever solver runs
     schedule = SaSchedule(sweeps=args.sweeps, restarts=args.restarts)
-    K, D, qbp, gamma = prepare(args)
+    K, qbp, gamma = prepare(args)
 
     lam = args.lam
     if args.solver == "constrained":
@@ -242,7 +238,7 @@ def run(args) -> dict:
         "objective": report.objective,
         "feasible": sel.size == args.k,
         "mmd_squared": mmd_squared(K, sel).mmd_squared,
-        "within_scatter": _selection_scatter(K, D, sel),
+        "within_scatter": _selection_scatter(K, sel),
         "equivalence": None,
         "provenance": provenance,
     }
@@ -423,7 +419,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    _, _, qbp, _ = prepare(args)
+    _, qbp, _ = prepare(args)
     lam = args.lam if args.lam is not None else sufficient_penalty(qbp)
     q = qbp_to_qubo(qbp, lam)  # folded before the output is opened, so a fold error writes nothing
     with np.errstate(over="ignore"):

@@ -346,7 +346,8 @@ def solve_sa(q: QuboInstance, schedule: SaSchedule | None = None, seed: int = 0)
     trajectory of the one-proposal-at-a-time loop bit for bit.  Returns the
     best state visited across restarts; its incrementally tracked energy
     must agree with a full re-evaluation to within `sa_drift_bound`, or
-    `NumericalIntegrityError` is raised.
+    `NumericalIntegrityError` is raised.  If no restart tracks an energy
+    below +inf, `InputError` is raised.
     """
     sched = schedule if schedule is not None else SaSchedule()
     temps = sched.temperatures()
@@ -363,9 +364,13 @@ def solve_sa(q: QuboInstance, schedule: SaSchedule | None = None, seed: int = 0)
         if e < best_e:
             best_e = e
             best_z = z
+    if best_z is None:
+        raise InputError("every annealing restart's tracked energy overflows")
     best = Selection(best_z)
     objective = qubo_energy(q, best)
-    bound = sa_drift_bound(n, sched.sweeps * n, float(np.abs(q.matrix).sum(axis=1).max()))
+    with np.errstate(over="ignore"):
+        row_norm = float(np.abs(q.matrix).sum(axis=1).max())
+    bound = sa_drift_bound(n, sched.sweeps * n, row_norm)
     if abs(objective - best_e) > bound:
         raise NumericalIntegrityError(
             f"incremental energy {best_e!r} drifted from re-evaluated {objective!r} "

@@ -291,6 +291,21 @@ def test_constrained_scan_ranks_nan_energies_last():
         assert same_double(e, E[i]), (seed, e, E[i])
 
 
+def test_constrained_scan_refuses_overflowing_energies_at_every_k():
+    # every A_mm + b_m is +inf: k = 1, one numpy step over the 1-subsets,
+    # raises as the k >= 2 scan does; -inf stays a minimum
+    A, b = np.full((3, 3), 1e308), np.full(3, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (1, 2, 3):
+            with pytest.raises(InputError, match=f"every {k}-subset's energy overflows"):
+                accel.constrained_best(A, b, k)
+        c, e = accel.constrained_best(np.diag([1e308, -1e308, -1e308]),
+                                      np.array([1e308, 0.0, -1e308]), 1)
+    np.testing.assert_array_equal(c, [2])
+    assert e == -np.inf
+
+
 def scan_energies(Q):
     # every state's energy as the 2^n scan computes it in one block, in
     # integer order: high half-states by rows, low half-states by columns

@@ -188,8 +188,8 @@ class TestRun:
     ], ids=["select-med", "select-kde", "export-med", "export-kde"])
     def test_complement_distance_is_built_at_most_once(self, blob_file, monkeypatch, capsys,
                                                       argv, builds):
-        # the med program's D = 1 - K also gives the selection's scatter; kde
-        # scores its scatter from the selected columns of 1 - K alone
+        # med builds D = 1 - K for its program only; both formulations score
+        # the selection's scatter from the selected columns of K
         import protoqubo.cli as cli
 
         calls = []
@@ -204,10 +204,13 @@ class TestRun:
         capsys.readouterr()
         assert len(calls) == builds
 
-    def test_kde_scatter_is_that_of_the_whole_complement(self, tmp_path):
+    @pytest.mark.parametrize("solver", ["constrained", "exhaustive", "sa"])
+    @pytest.mark.parametrize("form", ["med", "kde"])
+    def test_scatter_is_that_of_the_whole_complement(self, tmp_path, form, solver):
         # six points, each twice, under a precomputed kernel with noise of
         # +-5e-13: diagonal entries off 1 and duplicate entries above 1, which
-        # `kernel_to_distance` zeroes and clamps in D = 1 - K
+        # `kernel_to_distance` zeroes and clamps in D = 1 - K; both
+        # formulations score the scatter from K's selected columns alone
         from protoqubo import Dataset, kernel_matrix, kernel_to_distance
 
         rng = np.random.default_rng(3)
@@ -220,9 +223,10 @@ class TestRun:
         K = kernel_matrix(parse_kernel(f"precomputed:{kfile}"), Dataset(x))
         D = kernel_to_distance(K).entries
         assert (np.diag(K.entries) != 1.0).all() and (1.0 - K.entries < 0.0).any()
+        sa = ["--sweeps", "100", "--restarts", "2"] if solver == "sa" else []
         for k in (1, 3, 5):
             result = select("--input", str(points), "--kernel", f"precomputed:{kfile}",
-                            "--k", str(k), "--formulation", "kde", "--solver", "constrained")
+                            "--k", str(k), "--formulation", form, "--solver", solver, *sa)
             idx = result["selected_indices"]
             assert result["within_scatter"] == float(D[:, idx].min(axis=1).sum())
 
@@ -762,7 +766,10 @@ print(json.dumps(results))
          "squared MMD is not finite"),
         (12, "1.7e308", ["select", "--k", "2", "--solver", "constrained"],
          "every 2-subset's energy overflows\n"),
-    ], ids=["fold", "default-penalty", "mmd", "objective", "every-subset"])
+        (3, "1e308", ["select", "--k", "1", "--solver", "sa", "--lambda", "1",
+                      "--sweeps", "5", "--restarts", "2"],
+         "solver returned an empty selection"),
+    ], ids=["fold", "default-penalty", "mmd", "objective", "every-subset", "annealer"])
     def test_overflowing_kernel_sums_are_input_errors(self, tmp_path, capsys, n, diagonal,
                                                       argv, message):
         # a diagonal kernel whose entries are finite but whose sums are not:

@@ -3,6 +3,7 @@ import itertools
 import os
 import signal
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -300,6 +301,21 @@ class TestSimulatedAnnealing:
         q = QuboInstance(random_symmetric(np.random.default_rng(30), 12))
         with pytest.raises(NumericalIntegrityError, match="rounding bound"):
             solve_sa(q, SaSchedule(sweeps=200, restarts=2), seed=0)
+
+    def test_runs_that_overflow_warn_of_nothing(self):
+        # every tracked energy is +inf: no restart has a state to report, an
+        # input error; the sums and the drift bound's row norm overflow quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="every annealing restart's tracked energy"):
+                solve_sa(QuboInstance(np.full((3, 3), 1e308)), SaSchedule(sweeps=5, restarts=2))
+            # point 0 pays 1e308 beside either other point, so row 0's norm and
+            # the energies of the states that hold it overflow; {1, 2} is -2
+            m = -np.eye(3)
+            m[0, 1:] = m[1:, 0] = 1e308
+            rep = solve_sa(QuboInstance(m), SaSchedule(sweeps=20, restarts=2), seed=1)
+        np.testing.assert_array_equal(rep.best.indices, [1, 2])
+        assert rep.objective == -2.0
 
     def test_invalid_schedule(self):
         with pytest.raises(InputError):

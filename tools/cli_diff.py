@@ -289,6 +289,8 @@ def cases(work: Path) -> list:
     for csv, kernel in huge.items():
         out.append(["select", "--input", csv, "--k", "2", "--kernel", f"precomputed:{kernel}",
                     "--solver", "constrained"])
+        out.append(["select", "--input", csv, "--k", "1", "--kernel", f"precomputed:{kernel}",
+                    "--solver", "sa", "--lambda", "1", "--sweeps", "5", "--restarts", "2"])
     # the file that --output writes, compared like stdout
     for form in ("med", "kde"):
         out.append(["export-qubo", "--input", mid, "--k", "4", "--formulation", form,
@@ -300,9 +302,17 @@ def cases(work: Path) -> list:
     out.append(["select", "--input", far["far308"], "--k", "1", "--kernel", "laplacian:1"])
     for name in ("far200", "far308"):
         out.append(["baseline", "--input", far[name], "--k", "2"])
+    # the scatter, decided by D's zero diagonal and clamp: both formulations
+    # on the k-subset scan, and med on the 2^n scan and the annealer
+    twice_args = ["--input", twice, "--kernel", f"precomputed:{twice_kernel}"]
     for k in ("1", "3", "5"):
-        out.append(["select", "--input", twice, "--k", k, "--formulation", "kde",
-                    "--kernel", f"precomputed:{twice_kernel}", "--solver", "constrained"])
+        for form in ("med", "kde"):
+            out.append(["select", *twice_args, "--k", k, "--formulation", form,
+                        "--solver", "constrained"])
+        out.append(["select", *twice_args, "--k", k, "--formulation", "med",
+                    "--solver", "exhaustive"])
+        out.append(["select", *twice_args, "--k", k, "--formulation", "med", "--solver", "sa",
+                    "--sweeps", "100", "--restarts", "2", "--seed", "5"])
     for form in ("med", "kde"):
         out.append(["select", "--input", line, "--k", "2", "--kernel", f"precomputed:{above}",
                     "--formulation", form, "--solver", "constrained"])
