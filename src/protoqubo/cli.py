@@ -5,9 +5,10 @@ All subcommands read numeric CSV data and write a single JSON document, so
 runs can be scripted and diffed.  Exit codes: 0 success (or verification
 passed), 1 input error (including output that cannot be written: an
 unwritable --output, a closed stdout pipe, or an export worker that failed),
-2 capacity error, 3 verification failed, 4 numerical integrity error (an
-internal consistency check failed, e.g. annealing energy drift beyond its
-rounding bound or a kernel that is not positive semidefinite).
+2 capacity error (including a run whose arrays cannot be allocated),
+3 verification failed, 4 numerical integrity error (an internal consistency
+check failed, e.g. annealing energy drift beyond its rounding bound or a
+kernel that is not positive semidefinite).
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def ingest_csv(path: str, has_header: bool = False) -> Dataset:
     """Read a rectangular numeric CSV into a dataset, reporting bad cells by location."""
     rows = []
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")  # drops a leading byte-order mark
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from exc
     with handle:
@@ -443,8 +444,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"protoqubo: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except CapacityError as exc:
-        print(f"protoqubo: capacity error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        print(f"protoqubo: capacity error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAPACITY
     except NumericalIntegrityError as exc:
         print(f"protoqubo: numerical integrity error: {exc}", file=sys.stderr)

@@ -94,12 +94,8 @@ def verify_equivalence(
     q_med = qbp_to_qubo(med, med_lambda).matrix
     del med
     q_kde = qbp_to_qubo(build_kde_qbp(K, k), kde_lambda).matrix
-    gap = np.empty((min(_ROW_BLOCK, K.n), K.n))
-    diff = 0.0
-    for i in range(0, K.n, _ROW_BLOCK):
-        block = np.subtract(q_med[i:i + _ROW_BLOCK], q_kde[i:i + _ROW_BLOCK],
-                            out=gap[:min(_ROW_BLOCK, K.n - i)])
-        diff = max(diff, float(np.abs(block, out=block).max()))
+    diff = max(float(np.abs(q_med[i:i + _ROW_BLOCK] - q_kde[i:i + _ROW_BLOCK]).max())
+               for i in range(0, K.n, _ROW_BLOCK))
     return EquivalenceReport(
         max_abs_diff=diff,
         gamma_used=gamma,

@@ -94,12 +94,15 @@ def lloyd_kmedoids(D: DistanceMatrix, k: int, seed: int, max_iter: int = 100) ->
 
     Alternates nearest-medoid assignment and per-cluster medoid recomputation
     until the medoid set repeats (an exact fixed point) or max_iter is hit.
-    The scatter objective never increases across iterations.
+    The scatter objective never increases across iterations.  A negative
+    seed raises `InputError`.
     """
     if not (1 <= k <= D.n):
         raise InputError(f"cardinality k={k} out of range [1, {D.n}]")
     if max_iter < 1:
         raise InputError(f"max_iter must be >= 1, got {max_iter}")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     medoids = np.sort(rng.choice(D.n, size=k, replace=False).astype(np.int64))
     for _ in range(max_iter):

@@ -347,8 +347,10 @@ def solve_sa(q: QuboInstance, schedule: SaSchedule | None = None, seed: int = 0)
     best state visited across restarts; its incrementally tracked energy
     must agree with a full re-evaluation to within `sa_drift_bound`, or
     `NumericalIntegrityError` is raised.  If no restart tracks an energy
-    below +inf, `InputError` is raised.
+    below +inf, `InputError` is raised; so is a negative seed, before any draw.
     """
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     sched = schedule if schedule is not None else SaSchedule()
     temps = sched.temperatures()
     n = q.n

@@ -79,6 +79,22 @@ class TestIngest:
         assert f"{kernel}: row 1, column 2: not a finite number: {cell!r}" in err
         assert "dataset" not in err
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # spreadsheet exports start UTF-8 text with U+FEFF; only a leading one is dropped
+        kernel = tmp_path / "k.csv"
+        kernel.write_bytes("\ufeff1,0.5\n0.5,1\n".encode())
+        data = tmp_path / "d.csv"
+        data.write_bytes("\ufeff0,0\n3,4\n".encode())
+        np.testing.assert_array_equal(ingest_csv(str(data)).points, [[0.0, 0.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(parse_kernel(f"precomputed:{kernel}").matrix,
+                                      [[1.0, 0.5], [0.5, 1.0]])
+        assert main(["select", "--input", str(data), "--k", "1",
+                     "--kernel", f"precomputed:{kernel}"]) == 0
+        assert json.loads(capsys.readouterr().out)["selected_indices"] == [0]
+        data.write_bytes("0,0\n\ufeff3,4\n".encode())
+        with pytest.raises(InputError, match=r"row 2, column 1: not a number: '\\ufeff3'"):
+            ingest_csv(str(data))
+
     def test_empty_file(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("")
@@ -702,6 +718,35 @@ print(json.dumps(results))
         code = main(["select", "--input", str(f), "--k", "20", "--solver", "constrained"])
         capsys.readouterr()
         assert code == 2
+
+    def test_unallocatable_run_is_a_capacity_error(self, tmp_path, capsys):
+        # numpy refuses the 6.94 EiB of 10^18 temperatures at once, so nothing is allocated
+        f = tmp_path / "n3.csv"
+        f.write_text("0\n1\n2\n")
+        code = main(["select", "--input", str(f), "--k", "1", "--solver", "sa",
+                     "--sweeps", str(10**18)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("protoqubo: capacity error: Unable to allocate ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, seed", [
+        (["select", "--solver", "sa", "--seed", "-1"], -1),
+        (["select", "--solver", "sa", "--seed", "-3", "--restarts", "5"], -3),
+        (["baseline", "--seed", "-1"], -1),
+        (["baseline", "--seed", "-1", "--kernel", "rbf:2.0"], -1),
+    ])
+    def test_negative_seed_is_one_input_error_line(self, two_point_file, capsys, argv, seed):
+        code = main([argv[0], "--input", two_point_file, "--k", "1", *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"protoqubo: input error: seed must be nonnegative, got {seed}\n"
+
+    def test_exact_solvers_ignore_a_negative_seed(self, two_point_file, capsys):
+        for solver in ("constrained", "exhaustive"):
+            assert main(["select", "--input", two_point_file, "--k", "1", "--solver", solver,
+                         "--seed", "-1"]) == 0
+            assert json.loads(capsys.readouterr().out)["provenance"]["seed"] == -1
 
     def test_sa_at_large_energies_exits_zero(self, tmp_path, capsys):
         # energies near -5e5: the tracked energy ends about 2e-6 from the

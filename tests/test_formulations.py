@@ -208,6 +208,22 @@ class TestEquivalence:
             tracemalloc.stop()
         assert peak <= 2.25 * 8 * n * n, peak / (8 * n * n)
 
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
+    def test_max_abs_diff_is_that_of_the_whole_matrices(self, n):
+        # verify takes the max over blocks of 16 rows: sizes on both sides of
+        # the first and second block edges
+        K = random_normalized_kernel(np.random.default_rng(n), n)
+        diffs = []
+        for k in sorted({1, (n + 1) // 2, n}):
+            for lam in (2.0, 100.0, 12345.678):
+                gamma, kde_lambda = kde_equivalent_med_params(k, n, lam)
+                q_med = qbp_to_qubo(build_med_qbp(kernel_to_distance(K), gamma, k), lam).matrix
+                q_kde = qbp_to_qubo(build_kde_qbp(K, k), kde_lambda).matrix
+                whole = float(np.abs(q_med - q_kde).max())
+                assert verify_equivalence(K, k, lam).max_abs_diff.hex() == whole.hex()
+                diffs.append(whole)
+        assert n == 1 or max(diffs) > 0.0  # some fold rounds, so the max is not trivially 0
+
     def test_single_point_is_exact(self):
         rep = verify_equivalence(KernelMatrix(np.ones((1, 1))), 1, 2.0)
         assert rep.max_abs_diff == 0.0 and rep.passed
@@ -217,6 +233,16 @@ class TestEquivalence:
             verify_equivalence(KernelMatrix(2.0 * np.eye(2)), 1, 2.0)
         with pytest.raises(InputError):
             verify_equivalence(KernelMatrix(np.eye(2)), 1, 1.0)
+        # two faults at once: normalization, then tolerance, then k, then lambda
+        unnormalized = KernelMatrix(2.0 * np.eye(2))
+        with pytest.raises(PreconditionError):
+            verify_equivalence(unnormalized, 1, 1.0)
+        with pytest.raises(PreconditionError):
+            verify_equivalence(unnormalized, 1, 2.0, tolerance=-1.0)
+        with pytest.raises(InputError, match="tolerance"):
+            verify_equivalence(KernelMatrix(np.eye(2)), 0, 2.0, tolerance=-1.0)
+        with pytest.raises(InputError, match="cardinality"):
+            verify_equivalence(KernelMatrix(np.eye(2)), 0, 1.0)
 
     def test_constrained_objective_gap_is_k_squared(self):
         rng = np.random.default_rng(43)

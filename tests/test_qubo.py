@@ -262,6 +262,18 @@ class TestSimulatedAnnealing:
         rep = solve_sa(QuboInstance(np.array([[-1.0, 1.0], [1.0, -1.0]])), seed=0)
         assert rep.objective == -1.0
 
+    def test_negative_seed_is_an_input_error_before_any_draw(self, monkeypatch):
+        # restart r draws from seed + r, so seed -3 with 5 restarts would
+        # reach seeds 0 and 1 only after numpy refused seed -3
+        def no_draws(*args):
+            raise AssertionError("drew from a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        q = QuboInstance(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+        for seed, restarts in ((-1, 1), (-3, 5)):
+            with pytest.raises(InputError, match=f"seed must be nonnegative, got {seed}"):
+                solve_sa(q, SaSchedule(sweeps=10, restarts=restarts), seed=seed)
+
     def test_deterministic_given_seed_and_schedule(self):
         rng = np.random.default_rng(27)
         q = QuboInstance(random_symmetric(rng, 8))

@@ -319,6 +319,25 @@ def cases(work: Path) -> list:
     for kernel, k in ((minus_kernel, "1"), (minus_kernel, "2"), (mixed_kernel, "2")):
         out.append(["export-qubo", "--input", quad, "--k", k, "--kernel", f"precomputed:{kernel}",
                     "--formulation", "kde", "--lambda", "1"])
+    # which of two verify errors is reported: normalization before lambda and tolerance
+    for extra in (["--lambda", "1"], ["--tolerance", "-1"]):
+        out.append(["verify", "--input", quad, "--k", "2", "--kernel",
+                    f"precomputed:{unnormalized}", *extra])
+    # negative seeds: the annealer and the baseline refuse them, the exact scans draw nothing
+    sa = ["select", "--input", small, "--k", "3", "--solver", "sa", "--sweeps", "5"]
+    out.append([*sa, "--seed", "-1"])
+    out.append([*sa, "--seed", "-3", "--restarts", "5"])
+    out.append(["select", "--input", small, "--k", "3", "--seed", "-1"])
+    for kernel in ([], ["--kernel", "rbf:2.0"]):
+        out.append(["baseline", "--input", mid, "--k", "3", "--seed", "-1", *kernel])
+    # 10^18 temperatures, an allocation numpy refuses at once
+    out.append(["select", "--input", line, "--k", "1", "--solver", "sa", "--sweeps", str(10**18)])
+    # a leading UTF-8 byte-order mark on the data and on a precomputed kernel
+    bom_data, bom_kernel = work / "n20bom.csv", work / "k20bom.csv"
+    for marked, path in ((bom_data, small), (bom_kernel, precomputed)):
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+    out.append(["select", "--input", str(bom_data), "--k", "3"])
+    out.append(["select", "--input", small, "--k", "3", "--kernel", f"precomputed:{bom_kernel}"])
     return out
 
 
