@@ -114,10 +114,18 @@ def _bit_table(m: int) -> np.ndarray:
     return ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(np.float64)
 
 
-def _exhaustive_halves(Q: np.ndarray) -> tuple[int, float]:
+@np.errstate(over="ignore", invalid="ignore")
+def exhaustive_best(Q: np.ndarray) -> tuple[np.ndarray, float]:
+    """Scan all binary states; return (indicator vector, scanned energy).
+
+    Ties are broken toward the state whose indicator vector, read as a
+    little-endian integer, is smallest, and a state whose energy computes
+    to NaN ranks above every other.
+    """
+    Q = np.ascontiguousarray(Q, dtype=np.float64)
+    n = Q.shape[0]
     # z = lo + (hi << L): E = e_hi + e_lo + 2 z_hi' Q_hl z_lo, scored as a
     # (hi rows) x (2^L columns) block whose row-major order is integer order.
-    n = Q.shape[0]
     L = (n + 1) // 2
     Z_lo, Z_hi = _bit_table(L), _bit_table(n - L)
     e_lo = np.einsum("ij,ij->i", Z_lo @ Q[:L, :L], Z_lo)
@@ -135,22 +143,8 @@ def _exhaustive_halves(Q: np.ndarray) -> tuple[int, float]:
         if e.flat[i] < best_e:
             best_e = float(e.flat[i])
             best_t = ((r0 + i // e.shape[1]) << L) | (i % e.shape[1])
-    return best_t, best_e
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def exhaustive_best(Q: np.ndarray) -> tuple[np.ndarray, float]:
-    """Scan all binary states; return (indicator vector, scanned energy).
-
-    Ties are broken toward the state whose indicator vector, read as a
-    little-endian integer, is smallest, and a state whose energy computes
-    to NaN ranks above every other.
-    """
-    Q = np.ascontiguousarray(Q, dtype=np.float64)
-    n = Q.shape[0]
-    state, energy = _exhaustive_halves(Q)
-    z = ((int(state) >> np.arange(n)) & 1).astype(np.int8)
-    return z, float(energy)
+    z = ((best_t >> np.arange(n)) & 1).astype(np.int8)
+    return z, best_e
 
 
 # --------------------------------------------------------------------------
@@ -357,7 +351,9 @@ def _sa_block_scan(Q, z, flips, us, temps):
     n = Q.shape[0]
     sel = np.flatnonzero(z)
     e = float(np.cumsum(np.append(0.0, Q[np.ix_(sel, sel)]))[-1])
-    h = np.cumsum(np.column_stack((np.zeros(n), Q[:, sel])), axis=1)[:, -1].copy()
+    h = np.zeros(n)
+    for i in sel:
+        h += Q[i]
     q = Q.diagonal()
     qz = np.where(z != 0, q, 0.0)  # qjj where z_j = 1, else 0.0
     sign = np.where(z != 0, 1.0, -1.0)

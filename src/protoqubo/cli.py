@@ -270,20 +270,24 @@ def _destination(output_path: Optional[str]):
 def _whole_file(path: str):
     """`path` opened for writing, so that a failed write leaves the old file, or none.
 
-    A new path or a regular file is written to a temporary file beside it,
-    which replaces it, with the old file's permission bits, only once the
-    body succeeds; on any failure the temporary file is removed.  A target
-    that is not a regular file (a symlink, a FIFO, a device such as
-    /dev/stdout), or one beside which no file can be made, is written
-    directly, so its errors name `path` itself.
+    Symlinks are followed to the file they name.  A new file or a regular
+    one is written to a temporary file beside it, which replaces it, with
+    the old file's permission bits, only once the body succeeds; on any
+    failure the temporary file is removed, and a symlink stays a symlink.
+    A path that resolves to no regular file (a FIFO, a device such as
+    /dev/stdout on a pipe or a terminal, a deleted file still open under
+    /proc/self/fd), or beside whose file no file can be made, is written
+    directly, so its errors name `path` itself; so do the errors of a path
+    that cannot be resolved (a symlink loop).
     """
-    try:
-        old = os.lstat(path)
-    except OSError:
-        old = None
+    old = None
+    with contextlib.suppress(FileNotFoundError):
+        old = os.stat(path)
+    target = os.path.realpath(path)
     fd = None
-    if old is None or stat.S_ISREG(old.st_mode):
-        head, tail = os.path.split(path)
+    if old is None or (stat.S_ISREG(old.st_mode) and os.path.exists(target)
+                       and os.path.samestat(old, os.stat(target))):
+        head, tail = os.path.split(target)
         tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}")
         with contextlib.suppress(OSError):
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # open()'s mode
@@ -296,7 +300,7 @@ def _whole_file(path: str):
             yield fh
         if old is not None:
             os.chmod(tmp, stat.S_IMODE(old.st_mode))
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)

@@ -224,14 +224,11 @@ def _pairwise(X: np.ndarray, Y: np.ndarray, op) -> np.ndarray:
     """
     XT, YT = np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
     out = np.zeros((X.shape[0], Y.shape[0]))
-    tmp = np.empty((_ROW_BLOCK, Y.shape[0]))
     for i in range(0, X.shape[0], _ROW_BLOCK):
         acc = out[i:i + _ROW_BLOCK]
-        t = tmp[:acc.shape[0]]
         for xc, yc in zip(XT[:, i:i + _ROW_BLOCK], YT):
-            np.subtract(xc[:, None], yc, out=t)
-            op(t, out=t)
-            acc += t
+            t = np.subtract(xc[:, None], yc)
+            acc += op(t, out=t)
     return out
 
 

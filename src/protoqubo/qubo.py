@@ -36,7 +36,7 @@ import numpy as np
 
 from . import accel
 from .errors import CapacityError, InputError, NumericalIntegrityError
-from .kernels import _derived, _symmetric_matrix
+from .kernels import _ROW_BLOCK, _derived, _symmetric_matrix
 
 EXHAUSTIVE_MAX_VARS = 24
 CONSTRAINED_MAX_SUBSETS = 5_000_000
@@ -346,8 +346,10 @@ def solve_sa(q: QuboInstance, schedule: SaSchedule | None = None, seed: int = 0)
     trajectory of the one-proposal-at-a-time loop bit for bit.  Returns the
     best state visited across restarts; its incrementally tracked energy
     must agree with a full re-evaluation to within `sa_drift_bound`, or
-    `NumericalIntegrityError` is raised.  If no restart tracks an energy
-    below +inf, `InputError` is raised; so is a negative seed, before any draw.
+    `NumericalIntegrityError` is raised; the bound's row norm is taken a
+    block of rows at a time, so the check holds no n x n temporary.  If no
+    restart tracks an energy below +inf, `InputError` is raised; so is a
+    negative seed, before any draw.
     """
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
@@ -371,7 +373,8 @@ def solve_sa(q: QuboInstance, schedule: SaSchedule | None = None, seed: int = 0)
     best = Selection(best_z)
     objective = qubo_energy(q, best)
     with np.errstate(over="ignore"):
-        row_norm = float(np.abs(q.matrix).sum(axis=1).max())
+        row_norm = max(float(np.abs(q.matrix[i:i + _ROW_BLOCK]).sum(axis=1).max())
+                       for i in range(0, n, _ROW_BLOCK))
     bound = sa_drift_bound(n, sched.sweeps * n, row_norm)
     if abs(objective - best_e) > bound:
         raise NumericalIntegrityError(

@@ -614,6 +614,19 @@ def test_block_scan_matches_loop_on_seeded_instances(monkeypatch, blocks):
         assert_block_scan_matches_loop(Q, z0, flips, us, temps)
 
 
+@pytest.mark.parametrize("n", [200, 300])
+def test_block_scan_starts_its_field_as_the_loop_does(n):
+    # the start-up field adds a row per set bit in index order, as the loop
+    # adds columns: at these sizes another order of the sum moves its bits
+    rng = np.random.default_rng(n)
+    Q = random_symmetric(rng, n)
+    sweeps = 3
+    temps = np.geomspace(2.0, 1e-3, sweeps)
+    for z0 in (rng.integers(0, 2, n), rng.integers(0, 2, n), np.ones(n, dtype=np.int64)):
+        flips = rng.integers(0, n, sweeps * n)
+        assert_block_scan_matches_loop(Q, z0, flips, rng.random(sweeps * n), temps)
+
+
 @pytest.mark.parametrize("seed", [11, 3])
 def test_block_scan_matches_loop_on_select_sa_programs(seed):
     # kde programs of select_sa's shapes, folded at the default penalty and

@@ -557,6 +557,68 @@ class TestMainEntry:
         assert out.read_bytes() == b"earlier valid content\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.csv", "q.txt"]
 
+    def test_failed_export_through_a_symlink_keeps_the_target(self, blob_file, tmp_path,
+                                                              monkeypatch, capsys):
+        # the temporary file is made beside the file the link names, so a
+        # failed export leaves that file's old bytes and the link a link
+        from protoqubo import qubo
+
+        row_text = qubo._row_text
+
+        def breaks_at_row_5(m, i):
+            if i == 5:
+                raise ValueError("row 5")
+            return row_text(m, i)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(qubo, "_row_text", breaks_at_row_5)
+        (tmp_path / "out").mkdir()
+        target = tmp_path / "out" / "target.txt"
+        target.write_bytes(b"earlier valid content\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        code = main(["export-qubo", "--input", blob_file, "--k", "3", "--output", str(link)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"protoqubo: input error: cannot write {link}: "
+                                "export worker 1 ended before row 5 (exit code 1)\n")
+        assert link.is_symlink() and target.read_bytes() == b"earlier valid content\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.csv", "link.txt", "out"]
+        assert [p.name for p in target.parent.iterdir()] == ["target.txt"]
+
+    def test_symlink_loop_is_one_input_error_line(self, blob_file, tmp_path, capsys):
+        # a path that resolves to no file is opened directly, and neither
+        # link is replaced
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.symlink_to(b)
+        b.symlink_to(a)
+        code = main(["export-qubo", "--input", blob_file, "--k", "3", "--output", str(a)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"protoqubo: input error: cannot write {a}: ")
+        assert "Too many levels of symbolic links" in captured.err
+        assert a.is_symlink() and b.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt", "blobs.csv"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_output_to_an_open_deleted_file_is_written_directly(self, blob_file, tmp_path,
+                                                                capsys):
+        # /proc/self/fd/N of a deleted file resolves to "<name> (deleted)",
+        # a path that is not the file: the export goes to the open file, and
+        # no file of that name is made
+        fd = os.open(tmp_path / "gone.txt", os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            os.unlink(tmp_path / "gone.txt")
+            argv = ["export-qubo", "--input", blob_file, "--k", "3", "--output"]
+            assert main([*argv, f"/proc/self/fd/{fd}"]) == 0
+            assert main([*argv, str(tmp_path / "q.txt")]) == 0
+            os.lseek(fd, 0, os.SEEK_SET)
+            assert os.read(fd, 1 << 20) == (tmp_path / "q.txt").read_bytes()
+        finally:
+            os.close(fd)
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.csv", "q.txt"]
+
     def test_output_keeps_mode_and_symlink(self, blob_file, tmp_path, capsys):
         # a new file gets open()'s mode, a regular file keeps its mode, and a
         # symlink is written through and stays a symlink

@@ -113,6 +113,23 @@ def test_every_evaluation_path_gives_the_matrix_entry_bit_for_bit(make_spec, d):
     np.testing.assert_array_equal(one, np.array([[1.0]]), strict=True)
 
 
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("make_spec", [RbfKernel, LaplacianKernel])
+def test_whole_row_blocks_give_the_per_pair_loop_bit_for_bit(make_spec, n):
+    # the n = 37 test above ends in a partial row block; here every block is whole
+    assert n % _ROW_BLOCK == 0
+    rng = np.random.default_rng(n)
+    points = rng.normal(scale=2.0, size=(n, 8))
+    spec = make_spec(5.6)
+    data = Dataset(points)
+    squares = pairwise_reference(points, lambda t: t * t)
+    S = squares if make_spec is RbfKernel else pairwise_reference(points, abs)
+    np.testing.assert_array_equal(kernel_matrix(spec, data).entries, np.exp(-S / spec.h),
+                                  strict=True)
+    np.testing.assert_array_equal(euclidean_distance_matrix(data).entries, np.sqrt(squares),
+                                  strict=True)
+
+
 def test_importing_the_package_does_not_import_scipy():
     # numpy is the one runtime dependency
     src = Path(protoqubo.__file__).resolve().parent.parent

@@ -314,6 +314,26 @@ class TestSimulatedAnnealing:
         with pytest.raises(NumericalIntegrityError, match="rounding bound"):
             solve_sa(q, SaSchedule(sweeps=200, restarts=2), seed=0)
 
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 33, 96])
+    def test_drift_row_norm_is_that_of_the_whole_matrix(self, monkeypatch, n):
+        # the row norm is taken a block of rows at a time; each row's sum and
+        # the max are those of the whole |Q|, bit for bit
+        rng = np.random.default_rng(40 + n)
+        m = random_symmetric(rng, n) * 10.0 ** rng.uniform(-5.0, 5.0, size=(n, n))
+        m = np.triu(m) + np.triu(m, 1).T
+        norms = []
+        bound = qubo.sa_drift_bound
+
+        def capture(n, proposals, row_norm):
+            norms.append(row_norm)
+            return bound(n, proposals, row_norm)
+
+        monkeypatch.setattr(qubo, "sa_drift_bound", capture)
+        solve_sa(QuboInstance(m), SaSchedule(sweeps=2, restarts=1), seed=0)
+        expected = float(np.abs(m).sum(axis=1).max())
+        assert len(norms) == 1
+        assert np.float64(norms[0]).tobytes() == np.float64(expected).tobytes()
+
     def test_runs_that_overflow_warn_of_nothing(self):
         # every tracked energy is +inf: no restart has a state to report, an
         # input error; the sums and the drift bound's row norm overflow quietly

@@ -338,6 +338,11 @@ def cases(work: Path) -> list:
         marked.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
     out.append(["select", "--input", str(bom_data), "--k", "3"])
     out.append(["select", "--input", small, "--k", "3", "--kernel", f"precomputed:{bom_kernel}"])
+    # the annealer at n = 700, whose random starts hold about 350 points: the
+    # start-up field and energy, and the drift bound's row norm over many row blocks
+    for form in ("med", "kde"):
+        out.append(["select", "--input", large, "--k", "5", "--formulation", form,
+                    "--solver", "sa", "--sweeps", "2", "--restarts", "2", "--seed", "7"])
     return out
 
 
