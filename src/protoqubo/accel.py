@@ -12,8 +12,8 @@ machine:
   then scores each top element against that table without storing the
   k-subsets, so the scanned energies are a full k-level table's whatever
   the memory constants; a lower bound on each row's energy, computed by
-  the same additions, skips the table rows that compute above the best so
-  far, and so cannot change the answer,
+  the same additions, skips the table rows that compute at or above the
+  best so far, and so cannot change the answer,
 * simulated-annealing sweeps.  Each restart keeps the local field h = Qz, so
   a proposed flip costs O(1) and only an accepted one pays an O(n) update of
   h (Isakov et al., arXiv:1401.1084).  The proposals between two accepted
@@ -243,12 +243,13 @@ def constrained_best(A: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, 
     (tests/test_backends.py checks it) and rounding never reverses an
     order, so no row computes below its bound, nor below the bound taken
     with the least table energy below m.  The scan skips a top or row
-    bounded above the current best, which could neither replace the best
-    nor be a first minimum below it, and scores a block as a slice when
-    the greatest table energy below m is bounded at most the best: the
-    subset and the energy bits are the full scan's, ties included.  While
-    the best is infinite nothing is skipped; the worst case is the full
-    scan plus a minimum of A[m, :m] and a few comparisons per top.
+    bounded at or above the current best, which, the best being replaced
+    only on strict improvement, could neither replace it nor be the first
+    minimum of a block holding a row that does: the subset and the energy
+    bits are the full scan's, ties included.  While the best is +inf only
+    rows bounded at +inf or NaN are dropped, and those compute to +inf or
+    NaN.  A constant program scores no row after its first top; one whose
+    energies fall along colex order scores every row.
 
     A NaN bound skips no top and drops its row.  For a finite A it is NaN
     only when fl(E_r + c0) is NaN, or +inf with least = -inf, or -inf with
@@ -268,24 +269,22 @@ def constrained_best(A: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, 
             raise InputError("every 1-subset's energy overflows")
         return T[i].astype(np.int64), float(E[i])
     T, E = _colex_table(A, b, j, n - 1)
-    # the least and the greatest energy of the table rows below each top
+    # the least energy of the table rows below each top
     ends = [math.comb(m, j) for m in range(j, n)]
     starts = [0, *ends[:-1]]
     floors = np.minimum.accumulate(np.minimum.reduceat(E, starts)).tolist()
-    ceilings = np.maximum.accumulate(np.maximum.reduceat(E, starts)).tolist()
     # each top's least row sum: j copies of lo, added as `_add_top` adds a row
     lows = 2.0 * np.array([A[m, :m].min() for m in range(j, n)])
     leasts = np.repeat(lows[:, None], j, axis=1).sum(axis=1).tolist()
     c0s = (A.diagonal() + b).tolist()
     best_c, best_e = None, math.inf
-    for m, c, floor, ceiling, least in zip(range(j, n), ends, floors, ceilings, leasts):
+    for m, c, floor, least in zip(range(j, n), ends, floors, leasts):
         c0 = c0s[m]
-        if floor + c0 + least > best_e:
+        if floor + c0 + least >= best_e:
             continue
         w = 2.0 * A[m, :m]
         for rows in _blocks(c):
-            if not ceiling + c0 + least <= best_e:
-                rows = rows.start + np.flatnonzero(E[rows] + c0 + least <= best_e)
+            rows = rows.start + np.flatnonzero(E[rows] + c0 + least < best_e)
             e = _add_top(w, c0, T, E, rows)
             if e.size:
                 i = _first_min(e)  # first minimum: colex-first of these rows
@@ -348,9 +347,15 @@ def _sa_block_scan(Q, z, flips, us, temps):
     # e and h are the loop's doubles: the start-up sums add its terms in its
     # order, and row j of the symmetric Q is its column j.  The vectorized
     # np.exp must round as the scalar one does (tests/test_backends.py).
+    # Proposal t divides by temp[t] = temps[t // n], read from a view that
+    # repeats each temperature n times, so a block may cross sweeps.
     n = Q.shape[0]
     sel = np.flatnonzero(z)
-    e = float(np.cumsum(np.append(0.0, Q[np.ix_(sel, sel)]))[-1])
+    block = Q[np.ix_(sel, sel)].ravel()
+    block[:1] += 0.0  # the loop's first addition, 0.0 + -0.0 = 0.0
+    e = float(np.cumsum(block, out=block)[-1]) if sel.size else 0.0
+    del block  # not held through the restart
+    temp = np.broadcast_to(temps[:, None], (temps.shape[0], n)).flat
     h = np.zeros(n)
     for i in sel:
         h += Q[i]
@@ -375,7 +380,7 @@ def _sa_block_scan(Q, z, flips, us, temps):
         js = flips[t : t + size]
         b = js.shape[0]
         x = arg[js]
-        x /= temps[t // n] if (t + b - 1) // n == t // n else temps[np.arange(t, t + b) // n]
+        x /= temp[t : t + b]
         accept = us[t : t + b] < np.exp(x, out=x)
         i = int(accept.argmax())
         if not accept[i]:
@@ -412,12 +417,13 @@ def sa_run(
     temperature per n proposals.  The block scan `_sa_block_scan` computes
     every energy change, acceptance test and energy update with the
     operations of the loop `_sa_sweeps`, in the same order, so a given draw
-    sequence produces the loop's trajectory.  That holds when Q is exactly
-    symmetric (the scan adds row j where the loop adds column j), every
-    uniform satisfies ``0 <= u < 1`` and every temperature is positive (the
-    scan accepts a downhill flip by exp(0 / T) = 1 > u, where the loop
-    accepts it without a test); `solve_sa` passes such arguments.  A flip
-    index out of range raises ``IndexError``.
+    sequence produces the loop's trajectory.  That holds when ``temps``
+    covers every proposal, Q is exactly symmetric (the scan adds row j
+    where the loop adds column j), every uniform satisfies ``0 <= u < 1``
+    and every temperature is positive (the scan accepts a downhill flip by
+    exp(0 / T) = 1 > u, where the loop accepts it without a test);
+    `solve_sa` passes such arguments.  A flip index out of range raises
+    ``IndexError``.
     """
     Q = np.ascontiguousarray(Q, dtype=np.float64)
     z = np.array(z0, dtype=np.int8)

@@ -23,6 +23,7 @@ vectorized `np.exp` it calls must round as the loop's scalar `np.exp` does.
 
 import gc
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -627,6 +628,23 @@ def test_block_scan_starts_its_field_as_the_loop_does(n):
         assert_block_scan_matches_loop(Q, z0, flips, rng.random(sweeps * n), temps)
 
 
+def test_block_scan_start_energy_holds_one_selected_block():
+    # the start energy is a running sum taken in place over Q[sel, sel], so
+    # from z = 1 a restart holds one n x n block besides the caller's Q
+    n = 1000
+    Q = random_symmetric(np.random.default_rng(88), n)
+    z0 = np.ones(n, dtype=np.int8)
+    flips = np.arange(n)
+    us = np.random.default_rng(89).random(n)
+    tracemalloc.start()
+    try:
+        accel.sa_run(Q, z0, flips, us, np.array([1.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n, peak / (8 * n * n)
+
+
 @pytest.mark.parametrize("seed", [11, 3])
 def test_block_scan_matches_loop_on_select_sa_programs(seed):
     # kde programs of select_sa's shapes, folded at the default penalty and
@@ -723,6 +741,12 @@ def test_block_scan_on_signed_zero_energy_changes():
         z, e = assert_block_scan_matches_loop(Q, np.array(z0), flips, rng.random(400),
                                               np.geomspace(2.0, 1e-3, 100))
         assert e == -2.0
+    # an all -0.0 selected block starts at the loop's 0.0 + -0.0 = +0.0, and
+    # no signed zero lowers the best from there
+    flips = rng.integers(0, 2, 200)
+    z, e = assert_block_scan_matches_loop(Q[:2, :2], np.ones(2), flips, rng.random(200),
+                                          np.geomspace(2.0, 1e-3, 100))
+    assert same_double(e, 0.0)
 
 
 def test_downhill_flip_is_accepted_at_the_largest_uniform():

@@ -283,6 +283,14 @@ def cases(work: Path) -> list:
         for form in ("med", "kde"):
             out.append(["select", "--input", csv, "--k", str(k), "--formulation", form,
                         "--solver", "constrained"])
+    # constant programs: under an all-ones kernel (written without a draw)
+    # every k-subset of either formulation ties, and the bounded scan scores no
+    # row after its first top
+    for csv, n, k in ((scan24, 24, 12), (exact[0][0], 40, 5)):
+        ones = _write_csv(work / f"k{n}ones.csv", np.ones((n, n)))
+        for form in ("med", "kde"):
+            out.append(["select", "--input", csv, "--k", str(k), "--kernel",
+                        f"precomputed:{ones}", "--formulation", form, "--solver", "constrained"])
     for k in ("3", "9"):
         out.append(["select", "--input", spread, "--k", k, "--kernel",
                     f"precomputed:{spread_kernel}", "--solver", "constrained"])
