@@ -49,8 +49,9 @@ def active_backend() -> str:
 
 
 # Working memory of the numpy scans: energies held at once in one block of the
-# 2^n scan, and table rows per block of the k-subset scan.  Neither changes an
-# answer.
+# 2^n scan, and table rows per block of the k-subset scan.  GATHER_ROWS never
+# changes an answer.  SCAN_ENERGIES sets the shape of the 2^n scan's BLAS
+# blocks, whose order of additions decides its near-ties (README, Determinism).
 SCAN_ENERGIES = 1 << 20
 GATHER_ROWS = 1 << 15
 
@@ -414,18 +415,25 @@ def sa_run(
     """One annealing restart over pre-drawn flip indices and uniforms.
 
     ``flips`` and ``us`` hold one entry per proposal and ``temps`` one
-    temperature per n proposals.  The block scan `_sa_block_scan` computes
-    every energy change, acceptance test and energy update with the
-    operations of the loop `_sa_sweeps`, in the same order, so a given draw
-    sequence produces the loop's trajectory.  That holds when ``temps``
-    covers every proposal, Q is exactly symmetric (the scan adds row j
-    where the loop adds column j), every uniform satisfies ``0 <= u < 1``
-    and every temperature is positive (the scan accepts a downhill flip by
+    temperature per n proposals.  A flip index out of range raises
+    ``IndexError``, and a ``temps`` that covers fewer proposals than
+    ``flips`` raises `InputError`, both before the scan.  The block scan
+    `_sa_block_scan` computes every energy change, acceptance test and
+    energy update with the operations of the loop `_sa_sweeps`, in the same
+    order, so a given draw sequence produces the loop's trajectory.  That
+    holds when Q is exactly symmetric (the scan adds row j where the loop
+    adds column j), every uniform satisfies ``0 <= u < 1`` and every
+    temperature is positive (the scan accepts a downhill flip by
     exp(0 / T) = 1 > u, where the loop accepts it without a test);
-    `solve_sa` passes such arguments.  A flip index out of range raises
-    ``IndexError``.
+    `solve_sa` passes such arguments.
     """
     Q = np.ascontiguousarray(Q, dtype=np.float64)
+    n = Q.shape[0]
+    if flips.size and not (0 <= flips.min() and flips.max() < n):
+        raise IndexError(f"flip indices must lie in range({n})")
+    if temps.shape[0] * n < flips.shape[0]:
+        raise InputError(f"{temps.shape[0]} temperatures cover {temps.shape[0] * n} "
+                         f"proposals, fewer than the {flips.shape[0]} flips")
     z = np.array(z0, dtype=np.int8)
     best_z, best_e = _sa_block_scan(Q, z, flips, us, temps)
     return np.asarray(best_z, dtype=np.int8), float(best_e)

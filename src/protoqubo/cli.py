@@ -14,6 +14,7 @@ kernel that is not positive semidefinite).
 from __future__ import annotations
 
 import argparse
+import array
 import contextlib
 import csv
 import functools
@@ -68,8 +69,11 @@ DEFAULT_SWEEPS = 2000  # annealing sweeps per restart of `select --solver sa`
 
 
 def ingest_csv(path: str, has_header: bool = False) -> Dataset:
-    """Read a rectangular numeric CSV into a dataset, reporting bad cells by location."""
-    rows = []
+    """Read a rectangular numeric CSV into a dataset, reporting bad cells by location.
+
+    Each cell is held as one double in one buffer, the same value `float()` gives it.
+    """
+    cells = array.array("d")
     try:
         handle = open(path, newline="", encoding="utf-8-sig")  # drops a leading byte-order mark
     except OSError as exc:
@@ -90,26 +94,24 @@ def ingest_csv(path: str, has_header: bool = False) -> Dataset:
                     raise InputError(
                         f"{path}: row {lineno} has {len(row)} columns, expected {width}"
                     )
-                values = []
                 for col, cell in enumerate(row, start=1):
                     try:
-                        values.append(float(cell))
+                        cells.append(float(cell))
                     except ValueError:
                         raise InputError(
                             f"{path}: row {lineno}, column {col}: not a number: {cell!r}"
                         ) from None
-                    if not math.isfinite(values[-1]):
+                    if not math.isfinite(cells[-1]):
                         raise InputError(
                             f"{path}: row {lineno}, column {col}: not a finite number: {cell!r}"
                         )
-                rows.append(values)
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
         except csv.Error as exc:
             raise InputError(f"{path}: row {lineno + 1}: {exc}") from None
-    if not rows:
+    if not cells:
         raise InputError(f"{path}: no data rows")
-    return Dataset(np.array(rows, dtype=np.float64))
+    return Dataset(np.frombuffer(cells).reshape(-1, width))
 
 
 def parse_kernel(text: str) -> KernelSpec:

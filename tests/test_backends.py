@@ -785,6 +785,18 @@ def test_vectorized_exp_rounds_as_the_scalar_exp():
         np.testing.assert_array_equal(x.view(np.int64), scalar.view(np.int64))
 
 
+def test_sa_run_refuses_temperatures_that_do_not_cover_its_flips():
+    # two temperatures cover 16 of 31 proposals; a block that read one
+    # temperature past them divided all its proposals by it
+    n = 8
+    Q = np.diag([-1.0] + [1.0] * (n - 1))
+    flips = np.array([1] * 14 + [0] + [2] * 16)
+    with pytest.raises(InputError, match="2 temperatures cover 16 proposals, fewer than the 31"):
+        accel.sa_run(Q, np.zeros(n, np.int8), flips, np.full(31, 0.5), np.array([1e-3, 1e-3]))
+    with pytest.raises(IndexError, match=r"range\(8\)"):
+        accel.sa_run(Q, np.zeros(n, np.int8), np.array([0, -1]), np.full(2, 0.5), np.ones(1))
+
+
 def test_sa_run_warns_of_nothing_at_tiny_temperatures():
     # every proposal is strongly downhill, where -de / T overflows; the loop
     # accepts without dividing, and the block scan must not warn either

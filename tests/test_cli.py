@@ -1,3 +1,6 @@
+import csv
+import importlib.util
+import io
 import json
 import math
 import os
@@ -5,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -94,6 +98,37 @@ class TestIngest:
         data.write_bytes("0,0\n\ufeff3,4\n".encode())
         with pytest.raises(InputError, match=r"row 2, column 1: not a number: '\\ufeff3'"):
             ingest_csv(str(data))
+
+    def test_corpus_reads_as_float_reads_each_cell(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "cli_diff", Path(__file__).resolve().parent.parent / "tools" / "cli_diff.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        for name, text in tool.INGEST_VALID.items():
+            header = name.startswith("header")
+            rows = list(csv.reader(io.StringIO(text)))[header:]
+            expected = np.array([[float(cell) for cell in row] for row in rows
+                                 if any(cell.strip() for cell in row)])
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            points = ingest_csv(str(path), has_header=header).points
+            assert points.shape == expected.shape and points.tobytes() == expected.tobytes(), name
+
+    def test_peak_memory_is_about_two_copies_of_the_data(self, tmp_path):
+        # one buffer of doubles plus the dataset's validated copy, and no
+        # Python float per cell held until the end
+        n = d = 500
+        path = tmp_path / "d.csv"
+        path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n"
+                                for row in np.random.default_rng(5).random((n, d))))
+        ingest_csv(str(path))  # warm-up: imports and the csv module's caches
+        tracemalloc.start()
+        try:
+            ingest_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * d * 8, peak / (n * d * 8)
 
     def test_empty_file(self, tmp_path):
         f = tmp_path / "d.csv"

@@ -3,7 +3,8 @@
 Usage: python3 tools/cli_diff.py OLD_SRC NEW_SRC
 
 Each SRC is a directory holding the ``protoqubo`` package (a checkout's
-``src/``).  The script writes seeded CSV inputs to a temporary directory and
+``src/``).  The script writes seeded CSV inputs and the literal ingest
+corpus `INGEST_VALID` and `INGEST_BAD` to a temporary directory and
 runs a fixed list of CLI invocations against each tree, in one child
 interpreter per tree that imports the package from that tree and calls
 ``protoqubo.cli.main(argv)`` in-process.  A case that passes ``--output
@@ -63,6 +64,28 @@ with tempfile.TemporaryDirectory() as tmp:
                         "output file": written})
 json.dump(results, sys.__stdout__)
 """
+
+# The ingest corpus, written as literal text (no draw, so no seeded input
+# moves).  Valid files: cells that float() reads but a stricter parser may not
+# (underscores, Arabic-Indic digits, spaces, quotes, -0.0, the least subnormal
+# and the largest double), blank and all-blank rows, a header row, and square
+# symmetric kernels.  Files starting "header" are read with --header.
+INGEST_VALID = {
+    "ingest_cells.csv": '1_0,\u0661\u0662, 1.5 \n"2",-0.0,5e-324\n3,"4",0_0.5\n-1,2.5,\u0663\n',
+    "ingest_extremes.csv": "1.7976931348623157e308,0\n0,-1.7976931348623157e308\n5e-324,-0.0\n",
+    "ingest_blank.csv": "\n1,2\n,\n \n3,4\n , \n\n5,6\n\n",
+    "header_ingest.csv": "x,y\n1,2\n\n3,4\n5,6\n",
+    "ingest_kernel3.csv": '1,0.5,"0.25"\n\n0.5, 1 ,1_2.5e-2\n0.25,0.125,1\n',
+    "ingest_kernel2.csv": "\u0661,\u0660.\u0665\n\u0660.\u0665,\u0661\n",
+}
+# Files ingest refuses: a ragged row after blank lines (its row number counts
+# them), and nan or 1e999 in the first, a middle and the last column.
+INGEST_BAD = {
+    "ingest_ragged.csv": "1,2\n\n , \n3,4\n\n5\n",
+    **{f"ingest_{cell}_{col}.csv": "1,0,0\n0,1,0\n" + ",".join(
+        cell if c == col else "0" for c in range(3)) + "\n"
+       for cell in ("nan", "1e999") for col in range(3)},
+}
 
 
 def _write_csv(path: Path, points: np.ndarray) -> str:
@@ -351,6 +374,17 @@ def cases(work: Path) -> list:
     for form in ("med", "kde"):
         out.append(["select", "--input", large, "--k", "5", "--formulation", form,
                     "--solver", "sa", "--sweeps", "2", "--restarts", "2", "--seed", "7"])
+    # the literal ingest corpus as data, and its square symmetric files as kernels
+    for name, text in {**INGEST_VALID, **INGEST_BAD}.items():
+        (work / name).write_text(text, encoding="utf-8")
+        header = ["--header"] if name.startswith("header") else []
+        for command in ("select", "baseline"):
+            out.append([command, "--input", str(work / name), "--k", "1", *header])
+    out.append(["select", "--input", str(work / "header_ingest.csv"), "--k", "1"])
+    for name, points in (("ingest_kernel3.csv", line), ("ingest_kernel2.csv", two)):
+        for command in ("select", "baseline"):
+            out.append([command, "--input", points, "--k", "1",
+                        "--kernel", f"precomputed:{work / name}"])
     return out
 
 
