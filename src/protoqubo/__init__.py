@@ -24,7 +24,6 @@ from .kernels import (
     KernelMatrix,
     KernelSpec,
     LaplacianKernel,
-    PrecomputedKernel,
     RbfKernel,
     euclidean_distance_matrix,
     eval_kernel,
@@ -67,7 +66,6 @@ __all__ = [
     "LaplacianKernel",
     "MmdReport",
     "NumericalIntegrityError",
-    "PrecomputedKernel",
     "PreconditionError",
     "QbpInstance",
     "QuboInstance",

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, kernels
 from .density import mmd_squared
 from .errors import CapacityError, InputError, NumericalIntegrityError
 from .formulations import build_kde_qbp, build_med_qbp, verify_equivalence
@@ -39,7 +39,6 @@ from .kernels import (
     KernelMatrix,
     KernelSpec,
     LaplacianKernel,
-    PrecomputedKernel,
     RbfKernel,
     euclidean_distance_matrix,
     kernel_matrix,
@@ -68,8 +67,8 @@ DEFAULT_KERNEL = "rbf:2.0"
 DEFAULT_SWEEPS = 2000  # annealing sweeps per restart of `select --solver sa`
 
 
-def ingest_csv(path: str, has_header: bool = False) -> Dataset:
-    """Read a rectangular numeric CSV into a dataset, reporting bad cells by location.
+def _read_csv(path: str, has_header: bool) -> np.ndarray:
+    """Read a rectangular numeric CSV into a 2-D array, reporting bad cells by location.
 
     Each cell is held as one double in one buffer, the same value `float()` gives it.
     """
@@ -111,11 +110,19 @@ def ingest_csv(path: str, has_header: bool = False) -> Dataset:
             raise InputError(f"{path}: row {lineno + 1}: {exc}") from None
     if not cells:
         raise InputError(f"{path}: no data rows")
-    return Dataset(np.frombuffer(cells).reshape(-1, width))
+    return np.frombuffer(cells).reshape(-1, width)
+
+
+def ingest_csv(path: str, has_header: bool = False) -> Dataset:
+    """Read a rectangular numeric CSV into a dataset, reporting bad cells by location."""
+    return Dataset(_read_csv(path, has_header))
 
 
 def parse_kernel(text: str) -> KernelSpec:
-    """Parse ``rbf:H``, ``laplacian:H`` or ``precomputed:PATH``."""
+    """Parse ``rbf:H``, ``laplacian:H`` or ``precomputed:PATH``.
+
+    The CSV at PATH is read as a `KernelMatrix`, validated once as "precomputed kernel".
+    """
     kind, sep, arg = text.partition(":")
     kind = kind.strip().lower()
     if not sep or not arg:
@@ -127,8 +134,9 @@ def parse_kernel(text: str) -> KernelSpec:
             raise InputError(f"kernel parameter must be a number, got {arg!r}") from None
         return RbfKernel(h) if kind == "rbf" else LaplacianKernel(h)
     if kind == "precomputed":
-        mat = ingest_csv(arg, has_header=False)
-        return PrecomputedKernel(mat.points)
+        # called through the module, so a wrapper of `kernels._symmetric_matrix` sees it too
+        m = kernels._symmetric_matrix(_read_csv(arg, has_header=False), "precomputed kernel")
+        return kernels._derived(KernelMatrix, m)
     raise InputError(f"unknown kernel kind {kind!r}")
 
 

@@ -15,8 +15,9 @@ order, so `eval_kernel`, the densities and `kernel_matrix` return the same
 doubles for the same pair of points.
 
 Matrices are validated once, where they enter the package from outside: a
-precomputed kernel and the arrays passed to the public constructors of the
-matrix types here and in `qubo`.  Those constructors copy, check, and mirror
+precomputed kernel file, which `cli.parse_kernel` reads into a `KernelMatrix`,
+and the arrays passed to the public constructors of the matrix types here and
+in `qubo`.  The one validator, `_symmetric_matrix`, copies, checks and mirrors
 the upper triangle onto the lower, so a lower entry may move by at most
 ``SYMMETRY_TOL``.  Every matrix the package computes is exactly symmetric by
 construction, so `_derived` wraps it without a second n^2 copy and check:
@@ -68,7 +69,7 @@ def _symmetric_matrix(entries, name: str) -> np.ndarray:
 
 
 def _derived(cls, *fields):
-    """Wrap arrays derived from validated ones: run ``_finish``, not the validating ``__post_init__``."""
+    """Wrap validated arrays, or ones derived from them: run ``_finish``, not ``__post_init__``."""
     obj = object.__new__(cls)
     obj._finish(*fields)
     return obj
@@ -128,24 +129,6 @@ class LaplacianKernel:
 
 
 @dataclass(frozen=True)
-class PrecomputedKernel:
-    """A user-supplied n-by-n kernel matrix; validated, never re-derived from points."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _symmetric_matrix(self.matrix, "precomputed kernel")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-KernelSpec = Union[RbfKernel, LaplacianKernel, PrecomputedKernel]
-
-# coordinate term of each parametric kernel: K(x, y) = exp(-sum_c op(x_c - y_c) / h)
-_METRICS = {RbfKernel: np.square, LaplacianKernel: np.abs}
-
-
-@dataclass(frozen=True)
 class KernelMatrix:
     """Symmetric n-by-n kernel matrix; `normalized` is derived from the diagonal."""
 
@@ -164,6 +147,12 @@ class KernelMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+
+KernelSpec = Union[RbfKernel, LaplacianKernel, KernelMatrix]
+
+# coordinate term of each parametric kernel: K(x, y) = exp(-sum_c op(x_c - y_c) / h)
+_METRICS = {RbfKernel: np.square, LaplacianKernel: np.abs}
 
 
 @dataclass(frozen=True)
@@ -207,7 +196,7 @@ def _check_point(x, name: str) -> np.ndarray:
 
 def _kernel_row(spec: KernelSpec, x, Y: np.ndarray) -> np.ndarray:
     """Kernel values between the probe point x and each row of the checked points Y."""
-    if isinstance(spec, PrecomputedKernel):
+    if isinstance(spec, KernelMatrix):
         raise InputError("a precomputed kernel cannot be evaluated on raw points")
     xv = _check_point(x, "x")
     if xv.size != Y.shape[1]:
@@ -259,16 +248,15 @@ def kernel_matrix(spec: KernelSpec, data: Dataset) -> KernelMatrix:
     (j, i) add them in the same order.  Every entry is finite: it is
     ``exp(-s / h)`` with s a sum of non-negative terms, so s is >= 0 or +inf
     and never NaN, the entry lies in [0, 1], and the diagonal is exp(-0) = 1.
-    So the matrix is wrapped, not validated.  A precomputed matrix is shared
-    after a check against the dataset size.
+    So the matrix is wrapped, not validated.  A given `KernelMatrix` is
+    returned as it is, after a check against the dataset size.
     """
-    if isinstance(spec, PrecomputedKernel):
-        if spec.matrix.shape[0] != data.n:
+    if isinstance(spec, KernelMatrix):
+        if spec.n != data.n:
             raise InputError(
-                f"precomputed kernel is {spec.matrix.shape[0]}x{spec.matrix.shape[0]} "
-                f"but the dataset has n={data.n}"
+                f"precomputed kernel is {spec.n}x{spec.n} but the dataset has n={data.n}"
             )
-        return _derived(KernelMatrix, spec.matrix)
+        return spec
     return _derived(KernelMatrix, _kernel_values(spec, data.points, data.points))
 
 

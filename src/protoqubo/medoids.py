@@ -14,6 +14,8 @@ import numpy as np
 from .errors import InputError
 from .kernels import DistanceMatrix
 
+MAX_ITER = 100  # alternations of `lloyd_kmedoids` before it stops short of a fixed point
+
 
 @dataclass(frozen=True)
 class ClusterAssignment:
@@ -89,23 +91,21 @@ def lloyd_iteration(
     return labels, new_medoids
 
 
-def lloyd_kmedoids(D: DistanceMatrix, k: int, seed: int, max_iter: int = 100) -> ClusterAssignment:
+def lloyd_kmedoids(D: DistanceMatrix, k: int, seed: int) -> ClusterAssignment:
     """Alternating k-medoids from a uniformly seeded random initialization.
 
     Alternates nearest-medoid assignment and per-cluster medoid recomputation
-    until the medoid set repeats (an exact fixed point) or max_iter is hit.
+    until the medoid set repeats (an exact fixed point) or `MAX_ITER` is hit.
     The scatter objective never increases across iterations.  A negative
     seed raises `InputError`.
     """
     if not (1 <= k <= D.n):
         raise InputError(f"cardinality k={k} out of range [1, {D.n}]")
-    if max_iter < 1:
-        raise InputError(f"max_iter must be >= 1, got {max_iter}")
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     medoids = np.sort(rng.choice(D.n, size=k, replace=False).astype(np.int64))
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         _, new_medoids = lloyd_iteration(D, medoids)
         if np.array_equal(new_medoids, medoids):
             break

@@ -90,7 +90,7 @@ class TestIngest:
         data = tmp_path / "d.csv"
         data.write_bytes("\ufeff0,0\n3,4\n".encode())
         np.testing.assert_array_equal(ingest_csv(str(data)).points, [[0.0, 0.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(parse_kernel(f"precomputed:{kernel}").matrix,
+        np.testing.assert_array_equal(parse_kernel(f"precomputed:{kernel}").entries,
                                       [[1.0, 0.5], [0.5, 1.0]])
         assert main(["select", "--input", str(data), "--k", "1",
                      "--kernel", f"precomputed:{kernel}"]) == 0
@@ -157,7 +157,29 @@ class TestKernelParsing:
         f = tmp_path / "k.csv"
         f.write_text("1,0.5\n0.5,1\n")
         spec = parse_kernel(f"precomputed:{f}")
-        np.testing.assert_array_equal(spec.matrix, [[1.0, 0.5], [0.5, 1.0]])
+        np.testing.assert_array_equal(spec.entries, [[1.0, 0.5], [0.5, 1.0]])
+
+    def test_precomputed_is_a_kernel_matrix_used_as_it_is(self, tmp_path):
+        from protoqubo import Dataset, KernelMatrix, kernel_matrix
+
+        f = tmp_path / "k.csv"
+        f.write_text("1,0.5\n0.5000000000005,1\n")  # skew 5e-13: the upper triangle is kept
+        K = parse_kernel(f"precomputed:{f}")
+        assert type(K) is KernelMatrix and K.normalized
+        np.testing.assert_array_equal(K.entries, [[1.0, 0.5], [0.5, 1.0]])
+        assert kernel_matrix(K, Dataset(np.zeros((2, 1)))) is K
+
+    @pytest.mark.parametrize("text, error", [
+        ("1,0.5\n0.500000001,1\n", "precomputed kernel is not symmetric (max |M - M^T| = 1.000e-09)"),
+        ("1,0,0\n0,1,0\n", "precomputed kernel must be a square 2-D matrix, got shape (2, 3)"),
+        ("1,0,0\n0,1,0\n0,0,1\n", "precomputed kernel is 3x3 but the dataset has n=2"),
+    ], ids=["skew", "not-square", "size"])
+    def test_precomputed_errors(self, two_point_file, tmp_path, capsys, text, error):
+        f = tmp_path / "k.csv"
+        f.write_text(text)
+        assert main(["select", "--input", two_point_file, "--k", "1",
+                     "--kernel", f"precomputed:{f}"]) == 1
+        assert capsys.readouterr() == ("", f"protoqubo: input error: {error}\n")
 
 
 def select(*argv):

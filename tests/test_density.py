@@ -9,10 +9,10 @@ from protoqubo import (
     InputError,
     KernelMatrix,
     NumericalIntegrityError,
-    PrecomputedKernel,
     RbfKernel,
     Selection,
     build_kde_qbp,
+    eval_kernel,
     kde_density,
     kde_density_subset,
     kernel_matrix,
@@ -59,6 +59,15 @@ class TestDensities:
             kde_density(RbfKernel(1.0), TWO_POINTS, [0.0, 0.0])
         with pytest.raises(InputError):
             kde_density_subset(RbfKernel(1.0), TWO_POINTS, Selection(np.array([0, 0])), [0.0])
+
+    def test_a_kernel_matrix_is_not_evaluated_on_points(self):
+        K = KernelMatrix(np.eye(2))
+        for call in (lambda: eval_kernel(K, [0.0], [1.0]),
+                     lambda: kde_density(K, TWO_POINTS, [0.0]),
+                     lambda: kde_density_subset(K, TWO_POINTS, Selection(np.array([1, 0])), [0.0])):
+            with pytest.raises(InputError,
+                               match="^a precomputed kernel cannot be evaluated on raw points$"):
+                call()
 
 
 class TestMmd:

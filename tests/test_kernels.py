@@ -14,7 +14,6 @@ from protoqubo import (
     InputError,
     KernelMatrix,
     LaplacianKernel,
-    PrecomputedKernel,
     PreconditionError,
     QbpInstance,
     QuboInstance,
@@ -50,8 +49,8 @@ def test_eval_kernel_input_errors():
         eval_kernel(RbfKernel(1.0), (0.0,), (0.0, 1.0))
     with pytest.raises(InputError):
         eval_kernel(RbfKernel(1.0), (float("nan"),), (0.0,))
-    with pytest.raises(InputError):
-        eval_kernel(PrecomputedKernel(np.eye(2)), (0.0,), (1.0,))
+    with pytest.raises(InputError, match="a precomputed kernel cannot be evaluated on raw points"):
+        eval_kernel(KernelMatrix(np.eye(2)), (0.0,), (1.0,))
     with pytest.raises(InputError):
         RbfKernel(0.0)
     with pytest.raises(InputError):
@@ -151,19 +150,21 @@ def test_kernel_matrix_two_points_rbf():
 
 def test_kernel_matrix_precomputed_passthrough():
     m = np.array([[1.0, 0.25], [0.25, 1.0]])
-    K = kernel_matrix(PrecomputedKernel(m), Dataset(np.zeros((2, 1))))
+    given = KernelMatrix(m)
+    K = kernel_matrix(given, Dataset(np.zeros((2, 1))))
+    assert K is given
     np.testing.assert_array_equal(K.entries, m)
     assert K.normalized
-    K2 = kernel_matrix(PrecomputedKernel(np.array([[2.0, 0.0], [0.0, 2.0]])),
+    K2 = kernel_matrix(KernelMatrix(np.array([[2.0, 0.0], [0.0, 2.0]])),
                        Dataset(np.zeros((2, 1))))
     assert not K2.normalized
 
 
 def test_kernel_matrix_precomputed_validation():
-    with pytest.raises(InputError):
-        PrecomputedKernel(np.array([[1.0, 0.5], [0.2, 1.0]]))
-    with pytest.raises(InputError):
-        kernel_matrix(PrecomputedKernel(np.eye(3)), Dataset(np.zeros((2, 1))))
+    with pytest.raises(InputError, match=r"kernel matrix is not symmetric .* = 3\.000e-01\)"):
+        KernelMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
+    with pytest.raises(InputError, match="^precomputed kernel is 3x3 but the dataset has n=2$"):
+        kernel_matrix(KernelMatrix(np.eye(3)), Dataset(np.zeros((2, 1))))
 
 
 def test_kernel_to_distance_trivial_and_hand_values():
@@ -182,7 +183,7 @@ def test_kernel_to_distance_requires_normalized():
 
 
 def test_kernel_to_distance_message_prints_the_entry_as_a_float():
-    K = kernel_matrix(PrecomputedKernel(2.0 * np.eye(3)), Dataset(np.zeros((3, 1))))
+    K = kernel_matrix(KernelMatrix(2.0 * np.eye(3)), Dataset(np.zeros((3, 1))))
     with pytest.raises(PreconditionError, match=r"diagonal entry 0 is 2\.0$"):
         kernel_to_distance(K)
 
@@ -226,7 +227,6 @@ def symmetric_zero_diagonal(n):
 
 
 MATRIX_TYPES = {
-    "precomputed kernel": PrecomputedKernel,
     "kernel matrix": KernelMatrix,
     "distance matrix": DistanceMatrix,
     "quadratic part": lambda m: QbpInstance(m, np.zeros(len(m)), 1),
@@ -277,7 +277,6 @@ def test_validator_mirrors_the_upper_triangle(n):
 def test_public_constructors_copy_their_input():
     a = np.array([[1.0, 0.5], [0.5, 1.0]])
     instances = {
-        "kernel": (PrecomputedKernel(a), "matrix"),
         "kernel matrix": (KernelMatrix(a), "entries"),
         "program": (QbpInstance(a, np.ones(2), 1), "quadratic"),
         "QUBO": (QuboInstance(a), "matrix"),
@@ -293,13 +292,13 @@ def test_public_constructors_copy_their_input():
 
 
 def test_derived_matrices_are_read_only_and_exactly_symmetric():
-    # a precomputed kernel that is symmetric only to within the tolerance
+    # a given kernel matrix that is symmetric only to within the tolerance
     rng = np.random.default_rng(15)
     x = rng.normal(size=(40, 2))
     gram = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2) / 2.0)
     gram += rng.uniform(-2e-13, 2e-13, size=gram.shape)
     np.fill_diagonal(gram, 1.0)
-    K = kernel_matrix(PrecomputedKernel(gram), Dataset(x))
+    K = kernel_matrix(KernelMatrix(gram), Dataset(x))
     D = kernel_to_distance(K)
     med, kde = build_med_qbp(D, 0.1, 3), build_kde_qbp(K, 3)
     assert kde.quadratic is K.entries

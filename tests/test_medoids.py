@@ -143,7 +143,5 @@ class TestLloyd:
             lloyd_kmedoids(PATH_3, 0, seed=0)
         with pytest.raises(InputError):
             lloyd_kmedoids(PATH_3, 4, seed=0)
-        with pytest.raises(InputError):
-            lloyd_kmedoids(PATH_3, 1, seed=0, max_iter=0)
         with pytest.raises(InputError, match="seed must be nonnegative, got -1"):
             lloyd_kmedoids(PATH_3, 1, seed=-1)

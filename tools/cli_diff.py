@@ -3,8 +3,9 @@
 Usage: python3 tools/cli_diff.py OLD_SRC NEW_SRC
 
 Each SRC is a directory holding the ``protoqubo`` package (a checkout's
-``src/``).  The script writes seeded CSV inputs and the literal ingest
-corpus `INGEST_VALID` and `INGEST_BAD` to a temporary directory and
+``src/``).  The script writes seeded CSV inputs, the literal ingest
+corpus `INGEST_VALID` and `INGEST_BAD` and the literal kernels
+`PRECOMPUTED_CHECKED` to a temporary directory and
 runs a fixed list of CLI invocations against each tree, in one child
 interpreter per tree that imports the package from that tree and calls
 ``protoqubo.cli.main(argv)`` in-process.  A case that passes ``--output
@@ -85,6 +86,17 @@ INGEST_BAD = {
     **{f"ingest_{cell}_{col}.csv": "1,0,0\n0,1,0\n" + ",".join(
         cell if c == col else "0" for c in range(3)) + "\n"
        for cell in ("nan", "1e999") for col in range(3)},
+}
+
+# Precomputed kernels for the two points of n2.csv, written as literal text,
+# that the kernel checks decide: a skew of 1e-9 (beyond the 1e-12 tolerance),
+# a 2 x 3 matrix, a 3 x 3 kernel for 2 points, and a skew of 5e-13, which is
+# accepted with its upper triangle mirrored onto the lower.
+PRECOMPUTED_CHECKED = {
+    "kernel_skew_1e-9.csv": "1,0.5\n0.500000001,1\n",
+    "kernel_2x3.csv": "1,0,0\n0,1,0\n",
+    "kernel_3x3.csv": "1,0,0\n0,1,0\n0,0,1\n",
+    "kernel_skew_5e-13.csv": "1,0.5\n0.5000000000005,1\n",
 }
 
 
@@ -384,6 +396,11 @@ def cases(work: Path) -> list:
     for name, points in (("ingest_kernel3.csv", line), ("ingest_kernel2.csv", two)):
         for command in ("select", "baseline"):
             out.append([command, "--input", points, "--k", "1",
+                        "--kernel", f"precomputed:{work / name}"])
+    for name, text in PRECOMPUTED_CHECKED.items():
+        (work / name).write_text(text, encoding="utf-8")
+        for command in ("select", "verify"):
+            out.append([command, "--input", two, "--k", "1",
                         "--kernel", f"precomputed:{work / name}"])
     return out
 
