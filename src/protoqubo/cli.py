@@ -2,13 +2,13 @@
 identity, run the k-medoids baseline, and export QUBO matrices.
 
 All subcommands read numeric CSV data and write a single JSON document, so
-runs can be scripted and diffed.  Exit codes: 0 success (or verification
-passed), 1 input error (including output that cannot be written: an
-unwritable --output, a closed stdout pipe, or an export worker that failed),
-2 capacity error (including a run whose arrays cannot be allocated),
-3 verification failed, 4 numerical integrity error (an internal consistency
-check failed, e.g. annealing energy drift beyond its rounding bound or a
-kernel that is not positive semidefinite).
+runs can be scripted and diffed; the matrix arithmetic and its refusals are
+the library's.  Exit codes: 0 success (or verification passed), 1 input error
+(including output that cannot be written: an unwritable --output, a closed
+stdout pipe, or an export worker that failed), 2 capacity error (including a
+run whose arrays cannot be allocated), 3 verification failed, 4 numerical
+integrity error (an internal consistency check failed, e.g. annealing energy
+drift beyond its rounding bound or a kernel that is not positive semidefinite).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .density import mmd_squared
 from .errors import CapacityError, InputError, NumericalIntegrityError
 from .formulations import build_kde_qbp, build_med_qbp, verify_equivalence
 from .kernels import (
-    NEGATIVE_CLAMP,
     Dataset,
     KernelMatrix,
     KernelSpec,
@@ -48,7 +47,6 @@ from .medoids import lloyd_kmedoids
 from .qubo import (
     QbpInstance,
     SaSchedule,
-    Selection,
     qbp_to_qubo,
     solve_constrained_exhaustive,
     solve_exhaustive,
@@ -180,27 +178,6 @@ def _provenance(args, config_extra: dict, **top) -> dict:
     }
 
 
-def _selection_scatter(K, sel: Selection) -> Optional[float]:
-    """Scatter of the selection used as a medoid set, under D = 1 - K.
-
-    Only the k selected columns of K are read, with `kernel_to_distance`'s
-    check, zero diagonal and clamp, so the scatter is the double that the
-    whole of D gives.  Rounding is monotone, so fl(1 - max K) over a row's
-    selected columns is the least of those entries of 1 - K, and
-    1 - K.max() is the least entry of 1 - K.
-    """
-    if not K.normalized:
-        return None
-    low = 1.0 - K.entries.max()
-    if low < NEGATIVE_CLAMP:
-        raise InputError(f"distance matrix has negative entry {low:.3e}")
-    idx = sel.indices
-    d = 1.0 - K.entries[:, idx].max(axis=1)
-    d[idx] = 0.0
-    d[d < 0.0] = 0.0
-    return float(d.sum())
-
-
 def run(args) -> dict:
     """The report of a parsed `select` command line: build, solve, and score the selection."""
     # checked before any input is read, whichever solver runs
@@ -249,7 +226,7 @@ def run(args) -> dict:
         "objective": report.objective,
         "feasible": sel.size == args.k,
         "mmd_squared": mmd_squared(K, sel).mmd_squared,
-        "within_scatter": _selection_scatter(K, sel),
+        "within_scatter": kernels._complement_scatter(K, sel.indices) if K.normalized else None,
         "equivalence": None,
         "provenance": provenance,
     }
@@ -437,9 +414,6 @@ def _cmd_export(args) -> int:
     _, qbp, _ = prepare(args)
     lam = args.lam if args.lam is not None else sufficient_penalty(qbp)
     q = qbp_to_qubo(qbp, lam)  # folded before the output is opened, so a fold error writes nothing
-    with np.errstate(over="ignore"):
-        if not all(np.isfinite(2.0 * q.matrix[i, i + 1:]).all() for i in range(q.n)):
-            raise InputError("an off-diagonal QUBO entry overflows when the export doubles it")
     with _destination(args.output) as fh:
         write_qubo(q, fh)
     return EXIT_OK

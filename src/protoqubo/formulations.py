@@ -69,6 +69,8 @@ def kde_equivalent_med_params(k: int, n: int, med_lambda: float) -> tuple[float,
     """
     if not (1 <= k <= n):
         raise InputError(f"cardinality k={k} out of range [1, {n}]")
+    if k % 1 != 0:
+        raise InputError(f"cardinality k must be an integer, got {k}")
     if not (np.isfinite(med_lambda) and med_lambda > 1):
         raise InputError(f"med_lambda must be > 1, got {med_lambda}")
     return 2.0 * k / n, med_lambda - 1.0

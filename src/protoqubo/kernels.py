@@ -8,6 +8,8 @@ Kernel conventions used throughout:
 Both are normalized (``K(x, x) = 1``), which is what licenses turning a kernel
 matrix into a distance matrix via ``D = 1 - K``.  With ``h = 2`` the RBF
 complement distance is exactly Welsch's M-estimator ``1 - exp(-||x - y||^2 / 2)``.
+The rules of ``1 - K`` live here only: `kernel_to_distance` and `_complement_scatter`
+(a medoid set's scatter, from K's medoid columns) refuse, clamp and zero alike.
 
 Every kernel and distance value comes from one numpy loop, `_pairwise`, that
 adds the coordinate terms ``(x_c - y_c)**2`` or ``|x_c - y_c|`` in coordinate
@@ -272,6 +274,23 @@ def kernel_to_distance(K: KernelMatrix) -> DistanceMatrix:
             f"kernel is not normalized: diagonal entry {bad} is {float(K.entries[bad, bad])}"
         )
     return _derived(DistanceMatrix, 1.0 - K.entries)
+
+
+def _complement_scatter(K: KernelMatrix, medoids) -> float:
+    """The k-medoids scatter of `medoids` under ``D = 1 - K``, for a normalized K.
+
+    Only K's medoid columns are read, with `kernel_to_distance`'s check, zero
+    diagonal and clamp, so the scatter is the double the whole of D gives:
+    rounding is monotone, so fl(1 - max K) over a row's medoid columns is the
+    least of those entries of 1 - K, and 1 - K.max() the least entry of 1 - K.
+    """
+    low = 1.0 - K.entries.max()
+    if low < NEGATIVE_CLAMP:
+        raise InputError(f"distance matrix has negative entry {low:.3e}")
+    d = 1.0 - K.entries[:, medoids].max(axis=1)
+    d[medoids] = 0.0
+    d[d < 0.0] = 0.0
+    return float(d.sum())
 
 
 def euclidean_distance_matrix(data: Dataset) -> DistanceMatrix:

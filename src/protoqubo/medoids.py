@@ -96,15 +96,19 @@ def lloyd_kmedoids(D: DistanceMatrix, k: int, seed: int) -> ClusterAssignment:
 
     Alternates nearest-medoid assignment and per-cluster medoid recomputation
     until the medoid set repeats (an exact fixed point) or `MAX_ITER` is hit.
-    The scatter objective never increases across iterations.  A negative
-    seed raises `InputError`.
+    The scatter objective never increases across iterations.  A k or seed
+    that is not an integer, and a negative seed, raise `InputError`.
     """
     if not (1 <= k <= D.n):
         raise InputError(f"cardinality k={k} out of range [1, {D.n}]")
+    if k % 1 != 0:
+        raise InputError(f"cardinality k must be an integer, got {k}")
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng(seed)
-    medoids = np.sort(rng.choice(D.n, size=k, replace=False).astype(np.int64))
+    if seed % 1 != 0:
+        raise InputError(f"seed must be an integer, got {seed}")
+    rng = np.random.default_rng(int(seed))
+    medoids = np.sort(rng.choice(D.n, size=int(k), replace=False).astype(np.int64))
     for _ in range(MAX_ITER):
         _, new_medoids = lloyd_iteration(D, medoids)
         if np.array_equal(new_medoids, medoids):

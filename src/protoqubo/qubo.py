@@ -80,8 +80,10 @@ class QbpInstance:
             )
         if not np.all(np.isfinite(b)):
             raise InputError("linear part contains non-finite entries")
-        if not (1 <= int(k) <= a.shape[0]):
+        if not (1 <= k <= a.shape[0]):
             raise InputError(f"cardinality k={k} out of range [1, {a.shape[0]}]")
+        if k % 1 != 0:
+            raise InputError(f"cardinality k must be an integer, got {k}")
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "quadratic", a)
@@ -155,7 +157,7 @@ class SaSchedule:
     """Annealing schedule: geometric temperature decay from t_start to t_end.
 
     One sweep proposes n single-bit flips; restarts are independent chains
-    with seeds derived as ``seed + restart_index``.
+    with seeds derived as ``seed + restart_index``.  t_start must be finite.
     """
 
     t_start: float = 10.0
@@ -164,7 +166,7 @@ class SaSchedule:
     restarts: int = 8
 
     def __post_init__(self):
-        if not (self.t_start > self.t_end > 0):
+        if not (math.isfinite(self.t_start) and self.t_start > self.t_end > 0):
             raise InputError(
                 f"need t_start > t_end > 0, got t_start={self.t_start}, t_end={self.t_end}"
             )
@@ -349,10 +351,12 @@ def solve_sa(q: QuboInstance, schedule: SaSchedule | None = None, seed: int = 0)
     `NumericalIntegrityError` is raised; the bound's row norm is taken a
     block of rows at a time, so the check holds no n x n temporary.  If no
     restart tracks an energy below +inf, `InputError` is raised; so is a
-    negative seed, before any draw.
+    negative or non-integral seed, before any draw.
     """
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
+    if seed % 1 != 0:
+        raise InputError(f"seed must be an integer, got {seed}")
     sched = schedule if schedule is not None else SaSchedule()
     temps = sched.temperatures()
     n = q.n
@@ -360,7 +364,7 @@ def solve_sa(q: QuboInstance, schedule: SaSchedule | None = None, seed: int = 0)
     best_z = None
     best_e = np.inf
     for restart in range(sched.restarts):
-        rng = np.random.default_rng(seed + restart)
+        rng = np.random.default_rng(int(seed) + restart)
         z0 = rng.integers(0, 2, size=n).astype(np.int8)
         flips = rng.integers(0, n, size=sched.sweeps * n)
         us = rng.random(sched.sweeps * n)
@@ -389,14 +393,15 @@ def solve_sa(q: QuboInstance, schedule: SaSchedule | None = None, seed: int = 0)
 def write_qubo(q: QuboInstance, out) -> None:
     """Write a QUBO to the text stream `out` in the sparse upper-triangular format.
 
-    Header line ``n nnz``, then one ``i j value`` line per nonzero with
-    ``i <= j``; off-diagonal values are doubled so that reading the file as an
-    upper-triangular objective reproduces z^T Q z.  nnz is counted first, over
-    the entries the rows write: Q is exactly symmetric, so its off-diagonal
-    nonzeros come in pairs; doubling a finite nonzero never gives zero, and
-    -0.0 counts as zero either way.  Each row is formatted by one ``%`` over
-    a template joined from per-column ``"j %r"`` tails, so the bytes are those
-    of a loop writing ``repr(float(2.0 * Q[i, j]))`` entry by entry.
+    Header line ``n nnz``, then one ``i j value`` line per nonzero with ``i <= j``;
+    off-diagonal values are doubled so that reading the file as an upper-triangular
+    objective reproduces z^T Q z.  An off-diagonal entry whose doubling overflows
+    (magnitude 2**1023 or more) raises `InputError` before anything is written or
+    any worker is forked.  nnz is counted next, over the entries the rows write:
+    Q is exactly symmetric, so its off-diagonal nonzeros come in pairs; doubling a
+    finite nonzero never gives zero, and -0.0 counts as zero either way.  Each row
+    is formatted by one ``%`` over a template joined from per-column ``"j %r"``
+    tails, so the bytes are those of a loop writing ``repr(float(2.0 * Q[i, j]))``.
 
     The rows are formatted by one forked worker per available CPU (at most
     n), dealt round robin: worker w formats rows w, w + W, ... and sends each
@@ -407,6 +412,9 @@ def write_qubo(q: QuboInstance, out) -> None:
     worker is killed and reaped before this returns or raises.
     """
     m = q.matrix
+    with np.errstate(over="ignore"):
+        if not all(np.isfinite(2.0 * m[i, i + 1:]).all() for i in range(q.n)):
+            raise InputError("an off-diagonal QUBO entry overflows when the export doubles it")
     nnz = (np.count_nonzero(m) + np.count_nonzero(m.diagonal())) // 2
     out.write(f"{q.n} {nnz}\n")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1

@@ -303,6 +303,17 @@ class TestRun:
             idx = result["selected_indices"]
             assert result["within_scatter"] == float(D[:, idx].min(axis=1).sum())
 
+    @pytest.mark.parametrize("solver", ["constrained", "exhaustive", "sa"])
+    def test_scatter_of_a_kernel_that_is_not_normalized_is_null(self, tmp_path, solver):
+        points, kfile = tmp_path / "x.csv", tmp_path / "k.csv"
+        points.write_text("0\n1\n2\n")
+        kfile.write_text("2,0.5,0.25\n0.5,2,0.5\n0.25,0.5,2\n")
+        sa = ["--sweeps", "20", "--restarts", "1"] if solver == "sa" else []
+        result = select("--input", str(points), "--kernel", f"precomputed:{kfile}", "--k", "1",
+                        "--solver", solver, *sa)
+        assert result["within_scatter"] is None
+        assert result["selected_indices"] == [1] and result["mmd_squared"] > 0.0
+
     def test_kde_scatter_of_a_kernel_above_one_is_an_input_error(self, tmp_path, capsys):
         # med reads D = 1 - K before it solves and kde only for the scatter;
         # both refuse the entry 1 - 1.1 < 0 with the same line

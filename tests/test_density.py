@@ -70,6 +70,17 @@ class TestDensities:
                 call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: kde_density_subset(RbfKernel(1.0), TWO_POINTS, Selection(np.ones(3, int)), [0.0]),
+     "selection has length 3, dataset has n=2"),
+    (lambda: mmd_squared(KernelMatrix(np.eye(2)), Selection(np.ones(3, int))),
+     "selection has length 3, kernel matrix has n=2"),
+], ids=["subset-density", "mmd"])
+def test_refusals(call, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()
+
+
 class TestMmd:
     def test_full_selection_is_zero(self):
         rng = np.random.default_rng(51)

@@ -244,6 +244,21 @@ class TestEquivalence:
         with pytest.raises(InputError, match="cardinality"):
             verify_equivalence(KernelMatrix(np.eye(2)), 0, 1.0)
 
+    def test_cardinality_must_be_an_integer(self):
+        # the kde program would weight its linear term for k = 2.5 and
+        # constrain it to k = 2; verify would compare the two and fail
+        K = random_normalized_kernel(np.random.default_rng(5), 6)
+        message = "^cardinality k must be an integer, got 2.5$"
+        for call in (lambda: build_kde_qbp(K, 2.5),
+                     lambda: kde_equivalent_med_params(2.5, 6, 2.0),
+                     lambda: verify_equivalence(K, 2.5, 2.0)):
+            with pytest.raises(InputError, match=message):
+                call()
+        with pytest.raises(InputError, match=r"^cardinality k=nan out of range \[1, 6\]$"):
+            kde_equivalent_med_params(float("nan"), 6, 2.0)
+        for k in (True, 2.0, np.int64(2)):
+            assert verify_equivalence(K, k, 2.0) == verify_equivalence(K, int(k), 2.0)
+
     def test_constrained_objective_gap_is_k_squared(self):
         rng = np.random.default_rng(43)
         for _ in range(15):

@@ -27,7 +27,8 @@ from protoqubo import (
     kernel_to_distance,
     qbp_to_qubo,
 )
-from protoqubo.kernels import _ROW_BLOCK, SYMMETRY_TOL
+from protoqubo import kernels
+from protoqubo.kernels import _ROW_BLOCK, NEGATIVE_CLAMP, SYMMETRY_TOL
 
 
 def test_eval_rbf_same_point_is_one():
@@ -186,6 +187,37 @@ def test_kernel_to_distance_message_prints_the_entry_as_a_float():
     K = kernel_matrix(KernelMatrix(2.0 * np.eye(3)), Dataset(np.zeros((3, 1))))
     with pytest.raises(PreconditionError, match=r"diagonal entry 0 is 2\.0$"):
         kernel_to_distance(K)
+
+
+def test_complement_scatter_is_that_of_the_whole_complement():
+    # six points, each twice, with noise of +-5e-13: 1 - K has entries in
+    # [-1e-12, 0), which `kernel_to_distance` clamps, and a diagonal off 0
+    rng = np.random.default_rng(3)
+    x = np.repeat(rng.normal(size=(6, 2)), 2, axis=0)
+    gram = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2) / 2.0)
+    noisy = np.triu(gram + rng.uniform(-5e-13, 5e-13, size=gram.shape))
+    K = KernelMatrix(noisy + np.triu(noisy, 1).T)
+    complement = 1.0 - K.entries
+    assert ((complement >= NEGATIVE_CLAMP) & (complement < 0.0)).any()
+    assert (np.diag(complement) != 0.0).any()
+    D = kernel_to_distance(K).entries
+    for k in range(1, 13):
+        idx = np.sort(rng.choice(12, size=k, replace=False))
+        expected = float(D[:, idx].min(axis=1).sum())
+        got = kernels._complement_scatter(K, idx)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes(), idx
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: KernelMatrix(np.zeros((0, 0))), "kernel matrix must have at least one row"),
+    (lambda: DistanceMatrix([[0.0, np.inf], [np.inf, 0.0]]),
+     "distance matrix contains non-finite entries"),
+    (lambda: eval_kernel(RbfKernel(1.0), [], [1.0]), "x must have at least one coordinate"),
+    (lambda: eval_kernel("rbf", [0.0], [1.0]), "unknown kernel spec 'rbf'"),
+], ids=["empty-matrix", "non-finite-entry", "empty-point", "unknown-spec"])
+def test_refusals(call, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()
 
 
 def test_welsch_identity_on_random_data():

@@ -145,3 +145,33 @@ class TestLloyd:
             lloyd_kmedoids(PATH_3, 4, seed=0)
         with pytest.raises(InputError, match="seed must be nonnegative, got -1"):
             lloyd_kmedoids(PATH_3, 1, seed=-1)
+
+    def test_k_and_seed_must_be_integers(self):
+        expected = lloyd_kmedoids(PATH_3, 2, seed=1)
+        for k, seed in ((2.0, 1.0), (np.int64(2), np.int64(1)), (2, True)):
+            got = lloyd_kmedoids(PATH_3, k, seed)
+            np.testing.assert_array_equal(got.medoids, expected.medoids)
+        for k, seed, message in ((2.5, 0, "cardinality k must be an integer, got 2.5"),
+                                 (2, 1.5, "seed must be an integer, got 1.5"),
+                                 (2, float("nan"), "seed must be an integer, got nan")):
+            with pytest.raises(InputError, match=f"^{message}$"):
+                lloyd_kmedoids(PATH_3, k, seed)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ClusterAssignment(medoids=np.zeros((1, 1), int), labels=np.zeros(3, int),
+                               scatter=0.0), "medoids must be a non-empty 1-D index array"),
+    (lambda: ClusterAssignment(medoids=np.array([0, 1]), labels=np.array([0]), scatter=0.0),
+     "labels must be a 1-D array with one entry per point"),
+    (lambda: medoid_of(PATH_3, [0, 3]), r"cluster indices out of range \[0, 3\)"),
+    (lambda: within_cluster_scatter(DistanceMatrix(np.zeros((2, 2))), ClusterAssignment(
+        medoids=np.array([1]), labels=np.zeros(3, int), scatter=0.0)),
+     "assignment covers 3 points, matrix has 2"),
+    (lambda: within_cluster_scatter(PATH_3, ClusterAssignment(
+        medoids=np.array([3]), labels=np.zeros(3, int), scatter=0.0)),
+     r"medoid index out of range \[0, 3\)"),
+], ids=["medoids-not-1-d", "labels-too-short", "cluster-out-of-range",
+        "scatter-length", "scatter-medoid-out-of-range"])
+def test_refusals(call, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()

@@ -77,6 +77,17 @@ class TestEnergies:
         with pytest.raises(InputError):
             Selection.from_indices(2, [2])
 
+    def test_cardinality_must_be_an_integer_in_range(self):
+        a, b = np.zeros((3, 3)), np.zeros(3)
+        for k in (True, 2.0, np.int64(2)):
+            stored = QbpInstance(a, b, k).k
+            assert type(stored) is int and stored == k
+        for k, message in ((2.5, "cardinality k must be an integer, got 2.5"),
+                           (3.5, r"cardinality k=3.5 out of range \[1, 3\]"),
+                           (float("nan"), r"cardinality k=nan out of range \[1, 3\]")):
+            with pytest.raises(InputError, match=f"^{message}$"):
+                QbpInstance(a, b, k)
+
     def test_instance_validation(self):
         with pytest.raises(InputError):
             QuboInstance(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -84,6 +95,15 @@ class TestEnergies:
             QbpInstance(np.zeros((2, 2)), np.zeros(2), 0)
         with pytest.raises(InputError):
             QbpInstance(np.zeros((2, 2)), np.zeros(3), 1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: QbpInstance(np.eye(2), [0.0, np.nan], 1), "linear part contains non-finite entries"),
+    (lambda: Selection(np.zeros((2, 2))), r"indicator must be a 1-D vector, got shape \(2, 2\)"),
+], ids=["non-finite-linear-part", "indicator-not-1-d"])
+def test_refusals(build, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        build()
 
 
 class TestPenaltyFold:
@@ -352,10 +372,29 @@ class TestSimulatedAnnealing:
     def test_invalid_schedule(self):
         with pytest.raises(InputError):
             SaSchedule(t_start=1.0, t_end=1.0)
+        with pytest.raises(InputError, match=r"^need t_start > t_end > 0, got t_start=inf, "
+                                             r"t_end=0\.001$"):
+            SaSchedule(t_start=np.inf)
         with pytest.raises(InputError):
             SaSchedule(sweeps=0)
         with pytest.raises(InputError):
             SaSchedule(restarts=0)
+
+    def test_a_seed_that_is_not_an_integer_is_refused_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew from a generator")
+
+        q = QuboInstance(random_symmetric(np.random.default_rng(31), 6))
+        sched = SaSchedule(sweeps=10, restarts=2)
+        expected = solve_sa(q, sched, seed=2)
+        for seed in (2.0, np.int64(2)):
+            got = solve_sa(q, sched, seed=seed)
+            np.testing.assert_array_equal(got.best.indicator, expected.best.indicator)
+            assert got.objective == expected.objective
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        for seed in (1.5, float("nan")):
+            with pytest.raises(InputError, match=f"^seed must be an integer, got {seed}$"):
+                solve_sa(q, sched, seed=seed)
 
     def test_one_sweep_runs_at_the_start_temperature(self):
         temps = SaSchedule(t_start=7.3, t_end=0.1, sweeps=1).temperatures()
@@ -472,11 +511,13 @@ class TestExportBytes:
             "zero diagonal": random_symmetric(rng, n) * (1.0 - np.eye(n)),
             "negative": -np.abs(random_symmetric(rng, n)),
             "all zero": np.zeros((n, n)),
-            # -0.0 is not written, 5e-324 doubles to 1e-323, and off the
-            # diagonal entries of 2**1023 and -1.7e308 double to +-inf
+            # -0.0 is not written, 5e-324 doubles to 1e-323, and on the
+            # diagonal 2**1023 and -1.7e308 are written as they are, not doubled
             "negative zeros": mirrored(rng, n, [-0.0, 0.0, 1.5, -2.25]),
             "subnormals": mirrored(rng, n, [5e-324, -5e-324, -0.0, 0.0]),
-            "doubling overflows": mirrored(rng, n, [2.0**1023, -1.7e308, 1.0, 0.0]),
+            "huge diagonal": np.where(np.eye(n, dtype=bool),
+                                      np.resize([2.0**1023, -1.7e308, 1.0, 0.0], n),
+                                      mirrored(rng, n, [1.0, -2.5, 0.0])),
         }
         for name, m in matrices.items():
             with np.errstate(over="ignore"):
@@ -507,6 +548,24 @@ class TestExportBytes:
 
     def test_empty_export_has_only_the_header(self):
         assert export_qubo(QuboInstance(np.zeros((3, 3)))) == "3 0\n"
+
+    @pytest.mark.parametrize("value", [2.0**1023, -1.7e308], ids=["2**1023", "-1.7e308"])
+    def test_an_entry_whose_doubling_overflows_is_refused_before_any_write(self, monkeypatch,
+                                                                             value):
+        def no_fork():
+            raise AssertionError("forked a worker")
+
+        m = np.eye(3)
+        m[0, 2] = m[2, 0] = value
+        monkeypatch.setattr(os, "fork", no_fork)
+        for cpus in (1, 2, 3):
+            available_cpus(monkeypatch, cpus)
+            out = io.StringIO()
+            with pytest.raises(InputError, match="^an off-diagonal QUBO entry overflows "
+                                                 "when the export doubles it$"):
+                write_qubo(QuboInstance(m), out)
+            assert out.getvalue() == "", cpus
+            assert_no_child_left()
 
 
 class FailingSink(CharCounter):

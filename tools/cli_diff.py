@@ -238,7 +238,6 @@ def cases(work: Path) -> list:
     out.append(["baseline", "--input", mid, "--k", "3", "--seed", "2"])
     out.append(["baseline", "--input", mid, "--k", "3", "--seed", "2", "--kernel", "rbf:2.0"])
     out.append(["select", "--input", str(ragged), "--k", "1"])
-    out.append(["export-qubo", "--input", small, "--k", "21"])
     # one point: the 1x1 kernel and distance matrices
     for kernel in ("rbf:2.0", "laplacian:1.5"):
         out.append(["select", "--input", single, "--k", "1", "--kernel", kernel])
@@ -402,6 +401,20 @@ def cases(work: Path) -> list:
         for command in ("select", "verify"):
             out.append([command, "--input", two, "--k", "1",
                         "--kernel", f"precomputed:{work / name}"])
+    # every refusal of an argument rule, on literal arguments
+    for command in ("select", "verify", "baseline", "export-qubo"):
+        for k in ("0", "21"):
+            out.append([command, "--input", small, "--k", k])
+    for gamma in ("0", "-1", "inf"):
+        for command in ("select", "export-qubo"):
+            out.append([command, "--input", small, "--k", "3", "--formulation", "med",
+                        "--gamma", gamma])
+    for kernel in ("rbf:0", "laplacian:-1", "rbf:inf"):
+        out.append(["select", "--input", small, "--k", "3", "--kernel", kernel])
+    for lam in ("0", "-1", "nan"):
+        for command in (["select", "--solver", "exhaustive"], ["select", "--solver", "sa"],
+                        ["export-qubo"]):
+            out.append([*command, "--input", quad, "--k", "2", "--lambda", lam])
     return out
 
 
