@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__, formulations, kernels
 from .density import mmd_squared
 from .errors import CapacityError, InputError, NumericalIntegrityError
 from .formulations import build_kde_qbp, build_med_qbp, verify_equivalence
@@ -144,6 +144,19 @@ def _load(args) -> tuple[Dataset, Optional[KernelMatrix]]:
     return data, None if args.kernel is None else kernel_matrix(parse_kernel(args.kernel), data)
 
 
+def _load_program(args) -> tuple[KernelMatrix, float]:
+    """Check gamma, load the data and kernel, and check k; return K and the gamma in effect.
+
+    That is the given gamma, or 2k/n, at which med and kde coincide.
+    """
+    if args.formulation != "med" and args.gamma is not None:
+        raise InputError("--gamma applies to the med formulation only")
+    data, K = _load(args)
+    if not (1 <= args.k <= data.n):
+        raise InputError(f"cardinality k={args.k} out of range [1, {data.n}]")
+    return K, args.gamma if args.gamma is not None else 2.0 * args.k / data.n
+
+
 def prepare(args) -> tuple[KernelMatrix, QbpInstance, float]:
     """Check gamma, load the data and kernel, and build the constrained program.
 
@@ -151,12 +164,7 @@ def prepare(args) -> tuple[KernelMatrix, QbpInstance, float]:
     given one, or 2k/n, at which med and kde coincide).  The med program's
     D = 1 - K is dropped once the program is built.
     """
-    if args.formulation != "med" and args.gamma is not None:
-        raise InputError("--gamma applies to the med formulation only")
-    data, K = _load(args)
-    if not (1 <= args.k <= data.n):
-        raise InputError(f"cardinality k={args.k} out of range [1, {data.n}]")
-    gamma = args.gamma if args.gamma is not None else 2.0 * args.k / data.n
+    K, gamma = _load_program(args)
     if args.formulation == "med":
         return K, build_med_qbp(kernel_to_distance(K), gamma, args.k), gamma
     return K, build_kde_qbp(K, args.k), gamma
@@ -411,9 +419,11 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    _, qbp, _ = prepare(args)
-    lam = args.lam if args.lam is not None else sufficient_penalty(qbp)
-    q = qbp_to_qubo(qbp, lam)  # folded before the output is opened, so a fold error writes nothing
+    K, gamma = _load_program(args)
+    program = formulations._ProgramRows.build(K, args.k,
+                                              gamma if args.formulation == "med" else None)
+    lam = args.lam if args.lam is not None else program.penalty()
+    q = program.fold(lam)  # checked before the output is opened, so a fold error writes nothing
     with _destination(args.output) as fh:
         write_qubo(q, fh)
     return EXIT_OK

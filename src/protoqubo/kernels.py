@@ -8,8 +8,9 @@ Kernel conventions used throughout:
 Both are normalized (``K(x, x) = 1``), which is what licenses turning a kernel
 matrix into a distance matrix via ``D = 1 - K``.  With ``h = 2`` the RBF
 complement distance is exactly Welsch's M-estimator ``1 - exp(-||x - y||^2 / 2)``.
-The rules of ``1 - K`` live here only: `kernel_to_distance` and `_complement_scatter`
-(a medoid set's scatter, from K's medoid columns) refuse, clamp and zero alike.
+The rules of ``1 - K`` live here only: `_check_complement` refuses, and
+`_complement_rows` (a block of rows of D, whose whole is `kernel_to_distance`) and
+`_complement_scatter` (a medoid set's scatter, from K's medoid columns) clamp and zero alike.
 
 Every kernel and distance value comes from one numpy loop, `_pairwise`, that
 adds the coordinate terms ``(x_c - y_c)**2`` or ``|x_c - y_c|`` in coordinate
@@ -262,18 +263,41 @@ def kernel_matrix(spec: KernelSpec, data: Dataset) -> KernelMatrix:
     return _derived(KernelMatrix, _kernel_values(spec, data.points, data.points))
 
 
-def kernel_to_distance(K: KernelMatrix) -> DistanceMatrix:
-    """Turn a normalized kernel matrix into the complement distance ``D = 1 - K``.
+def _check_complement(K: KernelMatrix) -> None:
+    """`kernel_to_distance`'s refusals: a K that is not normalized, or 1 - K below the clamp.
 
-    For unit-diagonal kernels this equals half the squared feature-space
-    distance, so it is symmetric, nonnegative and zero on the diagonal.
+    Rounding is monotone, so 1 - K.max() is the least entry of 1 - K.
     """
     if not K.normalized:
         bad = int(np.argmax(np.abs(np.diag(K.entries) - 1.0)))
         raise PreconditionError(
             f"kernel is not normalized: diagonal entry {bad} is {float(K.entries[bad, bad])}"
         )
-    return _derived(DistanceMatrix, 1.0 - K.entries)
+    low = 1.0 - K.entries.max()
+    if low < NEGATIVE_CLAMP:
+        raise InputError(f"distance matrix has negative entry {low:.3e}")
+
+
+def _complement_rows(K: KernelMatrix, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of ``D = 1 - K`` for a K `_check_complement` passed: zero diagonal, clamped at 0.
+
+    1 - K holds no -0.0, so the clamp ``max(d, 0)`` changes exactly the entries below 0.
+    """
+    d = np.subtract(1.0, K.entries[lo:hi])
+    r = np.arange(d.shape[0])
+    d[r, lo + r] = 0.0
+    return np.maximum(d, 0.0, out=d)
+
+
+def kernel_to_distance(K: KernelMatrix) -> DistanceMatrix:
+    """Turn a normalized kernel matrix into the complement distance ``D = 1 - K``.
+
+    For unit-diagonal kernels this equals half the squared feature-space
+    distance, so it is symmetric, nonnegative and zero on the diagonal.  It is
+    `_complement_rows` over all rows.
+    """
+    _check_complement(K)
+    return _derived(DistanceMatrix, _complement_rows(K, 0, K.n))
 
 
 def _complement_scatter(K: KernelMatrix, medoids) -> float:
@@ -282,11 +306,9 @@ def _complement_scatter(K: KernelMatrix, medoids) -> float:
     Only K's medoid columns are read, with `kernel_to_distance`'s check, zero
     diagonal and clamp, so the scatter is the double the whole of D gives:
     rounding is monotone, so fl(1 - max K) over a row's medoid columns is the
-    least of those entries of 1 - K, and 1 - K.max() the least entry of 1 - K.
+    least of those entries of 1 - K.
     """
-    low = 1.0 - K.entries.max()
-    if low < NEGATIVE_CLAMP:
-        raise InputError(f"distance matrix has negative entry {low:.3e}")
+    _check_complement(K)
     d = 1.0 - K.entries[:, medoids].max(axis=1)
     d[medoids] = 0.0
     d[d < 0.0] = 0.0

@@ -14,13 +14,23 @@ not checked again.
 Solvers: exhaustive enumeration (ground truth, hard-capped), enumeration of
 the feasible k-subsets, and single-bit-flip Metropolis simulated annealing.
 The enumeration and annealing inner loops live in `accel`, in numpy.
+The fold is also given a block of rows at a time: `_fold_rows` folds a range
+of A's rows, `_fold_diagonal` makes the fold's checked diagonal, and
+`_FoldedRows` is a QUBO read through them from rows of its program that are
+built on demand, so `verify` and `export-qubo` hold no n x n program or fold.
+`qbp_to_qubo` is `_fold_rows` over all rows, and `sufficient_penalty` sums
+|A| down numpy's own pairwise tree a few rows at a time (`_penalty_bound`), so
+both paths give the same bits.
+
 `write_qubo` streams a QUBO to a text stream one row at a time, for external
 QUBO solvers.  Each row's lines are one ``%`` over a row template, whose
 ``%r`` fields write the bytes of a ``repr`` loop over the entries.  One forked
-worker per available CPU formats the rows, dealt round robin, and sends them
-back over a pipe each; the calling process writes them in row order, so the
-bytes are those of the one-process loop, which runs instead without
-``os.fork`` or with one CPU.
+worker per available CPU reads and formats the rows, dealt round robin, and
+sends them back over a pipe each; the calling process writes them in row
+order, so the bytes are those of the one-process loop, which runs instead
+without ``os.fork`` or with one CPU.  The export of n = 3000 points holds K
+and row blocks alone: its process peaks at about 99 MB, and each row worker
+at about 92 MB, most of it K's 72 MB shared copy-on-write.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -40,6 +51,7 @@ from .kernels import _ROW_BLOCK, _derived, _symmetric_matrix
 
 EXHAUSTIVE_MAX_VARS = 24
 CONSTRAINED_MAX_SUBSETS = 5_000_000
+_PAIRWISE_LEAF = 1 << 14  # entries of A summed by one numpy sum in `_penalty_bound`
 
 
 @dataclass(frozen=True)
@@ -59,6 +71,10 @@ class QuboInstance:
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi of Q, a read-only view."""
+        return self.matrix[lo:hi]
+
 
 @dataclass(frozen=True)
 class QbpInstance:
@@ -72,27 +88,30 @@ class QbpInstance:
         self._finish(_symmetric_matrix(self.quadratic, "quadratic part"), self.linear, self.k)
 
     def _finish(self, a: np.ndarray, linear, k: int) -> None:
-        b = np.asarray(linear, dtype=np.float64).reshape(-1).copy()
-        if b.shape[0] != a.shape[0]:
-            raise InputError(
-                f"linear part has length {b.shape[0]} but quadratic part is "
-                f"{a.shape[0]}x{a.shape[0]}"
-            )
-        if not np.all(np.isfinite(b)):
-            raise InputError("linear part contains non-finite entries")
-        if not (1 <= k <= a.shape[0]):
-            raise InputError(f"cardinality k={k} out of range [1, {a.shape[0]}]")
-        if k % 1 != 0:
-            raise InputError(f"cardinality k must be an integer, got {k}")
+        b, k = _linear_part(linear, a.shape[0], k)
         a.setflags(write=False)
-        b.setflags(write=False)
         object.__setattr__(self, "quadratic", a)
         object.__setattr__(self, "linear", b)
-        object.__setattr__(self, "k", int(k))
+        object.__setattr__(self, "k", k)
 
     @property
     def n(self) -> int:
         return self.quadratic.shape[0]
+
+
+def _linear_part(linear, n: int, k) -> tuple[np.ndarray, int]:
+    """A program's checked linear part, as a read-only copy, and its cardinality as an int."""
+    b = np.asarray(linear, dtype=np.float64).reshape(-1).copy()
+    if b.shape[0] != n:
+        raise InputError(f"linear part has length {b.shape[0]} but quadratic part is {n}x{n}")
+    if not np.all(np.isfinite(b)):
+        raise InputError("linear part contains non-finite entries")
+    if not (1 <= k <= n):
+        raise InputError(f"cardinality k={k} out of range [1, {n}]")
+    if k % 1 != 0:
+        raise InputError(f"cardinality k must be an integer, got {k}")
+    b.setflags(write=False)
+    return b, int(k)
 
 
 @dataclass(frozen=True)
@@ -236,18 +255,57 @@ def qbp_to_qubo(p: QbpInstance, lam: float) -> QuboInstance:
     The result satisfies, for every binary z,
     ``z^T Q z = z^T A z + b^T z + lam * ((1^T z - k)^2 - k^2)``:
     the penalized objective up to the constant ``lam * k^2``, which is dropped.
-    Q is exactly symmetric because A is.  Rounding is monotone, so
-    ``max(A) + lam`` (in Python floats, which overflow silently) bounds every
-    entry of ``A + lam``: it and the diagonal are all the finiteness check reads.
+    Q is exactly symmetric because A is.  It is `_fold_rows` over all rows,
+    after `_fold_diagonal`'s checks.
+    """
+    a = p.quadratic
+    diag = _fold_diagonal(a.diagonal(), float(a.max()), p.linear, p.k, lam)
+    return _derived(QuboInstance, _fold_rows(a, diag, lam, 0))
+
+
+def _fold_diagonal(a_diag: np.ndarray, a_max: float, b: np.ndarray, k: int,
+                   lam: float) -> np.ndarray:
+    """The fold's diagonal, after its refusals: a penalty not positive, or an entry not finite.
+
+    Rounding is monotone, so ``max(A) + lam`` (in Python floats, which
+    overflow silently) bounds every entry of ``A + lam``: it and the diagonal
+    are all the finiteness check reads.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise InputError(f"penalty weight must be positive, got {lam}")
-    diag = penalized_diagonal(p.quadratic.diagonal(), p.linear, lam, p.k)
-    if not (math.isfinite(float(p.quadratic.max()) + float(lam)) and np.all(np.isfinite(diag))):
+    diag = penalized_diagonal(a_diag, b, lam, k)
+    if not (math.isfinite(a_max + float(lam)) and np.all(np.isfinite(diag))):
         raise InputError("QUBO matrix contains non-finite entries")
-    q = p.quadratic + lam
-    q[np.diag_indices(p.n)] = diag
-    return _derived(QuboInstance, q)
+    return diag
+
+
+def _fold_rows(a: np.ndarray, diag: np.ndarray, lam: float, lo: int) -> np.ndarray:
+    """Rows lo:lo+len(a) of the fold, from those rows of A: ``A + lam``, `diag` on the diagonal."""
+    q = a + lam
+    r = np.arange(q.shape[0])
+    q[r, lo + r] = diag[lo:lo + q.shape[0]]
+    return q
+
+
+@dataclass(frozen=True)
+class _FoldedRows:
+    """A QUBO folded a block of rows at a time from the rows of its program.
+
+    `quadratic(lo, hi)` returns rows lo:hi of A, and `diagonal` is the fold's
+    diagonal, from `_fold_diagonal`; `rows` gives rows of Q with the bits
+    `qbp_to_qubo` gives them, and no n x n array is held.
+    """
+
+    quadratic: Callable[[int, int], np.ndarray]
+    diagonal: np.ndarray
+    lam: float
+
+    @property
+    def n(self) -> int:
+        return self.diagonal.shape[0]
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        return _fold_rows(self.quadratic(lo, hi), self.diagonal, self.lam, lo)
 
 
 def sufficient_penalty(p: QbpInstance) -> float:
@@ -257,13 +315,39 @@ def sufficient_penalty(p: QbpInstance) -> float:
     feasible set raises the penalty term by at least this weight while the
     unpenalized objective can change by at most the weight minus one, so no
     infeasible point can beat a feasible one.  A bound that overflows raises `InputError`.
+    It is `_penalty_bound` of A's rows, so it holds no n x n |A|.
+    """
+    return _penalty_bound(lambda lo, hi: p.quadratic[lo:hi], p.n, p.linear)
+
+
+def _penalty_bound(rows: Callable[[int, int], np.ndarray], n: int, b: np.ndarray) -> float:
+    """``1 + sum|A_ij| + sum|b_i|`` for the A whose rows lo:hi are ``rows(lo, hi)``, in the bits
+    of ``1.0 + np.abs(A).sum() + np.abs(b).sum()``, without an n x n |A|.
     """
     with np.errstate(over="ignore"):
-        lam = float(1.0 + np.abs(p.quadratic).sum() + np.abs(p.linear).sum())
+        lam = float(1.0 + _abs_sum(rows, n, 0, n * n) + np.abs(b).sum())
     if not math.isfinite(lam):
         raise InputError("the sufficient penalty 1 + sum|A_ij| + sum|b_i| overflows; "
                          "give the penalty weight explicitly")
     return lam
+
+
+def _abs_sum(rows: Callable[[int, int], np.ndarray], n: int, lo: int, hi: int) -> np.float64:
+    """numpy's sum of |A| over A's entries lo:hi in row-major order, a few rows at a time.
+
+    numpy sums a range of more than 128 entries as the sum of its two halves,
+    the cut rounded down to a multiple of 8.  This follows the same tree down
+    to ranges of at most `_PAIRWISE_LEAF` entries, each summed by numpy from
+    the rows that hold it, so the result has the bits of ``np.abs(A).sum()``
+    for lo, hi = 0, n*n.
+    """
+    if hi - lo > _PAIRWISE_LEAF:
+        half = (hi - lo) // 2
+        half -= half % 8
+        return _abs_sum(rows, n, lo, lo + half) + _abs_sum(rows, n, lo + half, hi)
+    first = lo // n
+    block = np.abs(rows(first, (hi - 1) // n + 1)).reshape(-1)
+    return block[lo - first * n:hi - first * n].sum()
 
 
 def solve_exhaustive(q: QuboInstance) -> SolveReport:
@@ -395,33 +479,36 @@ def write_qubo(q: QuboInstance, out) -> None:
 
     Header line ``n nnz``, then one ``i j value`` line per nonzero with ``i <= j``;
     off-diagonal values are doubled so that reading the file as an upper-triangular
-    objective reproduces z^T Q z.  An off-diagonal entry whose doubling overflows
-    (magnitude 2**1023 or more) raises `InputError` before anything is written or
-    any worker is forked.  nnz is counted next, over the entries the rows write:
-    Q is exactly symmetric, so its off-diagonal nonzeros come in pairs; doubling a
-    finite nonzero never gives zero, and -0.0 counts as zero either way.  Each row
-    is formatted by one ``%`` over a template joined from per-column ``"j %r"``
-    tails, so the bytes are those of a loop writing ``repr(float(2.0 * Q[i, j]))``.
+    objective reproduces z^T Q z.  `q` is a `QuboInstance` or a QUBO folded by
+    rows (`_FoldedRows`), read through ``q.rows(lo, hi)`` alone, so besides
+    what q holds the export holds no n x n array.
+
+    A first pass over blocks of `_ROW_BLOCK` rows refuses an off-diagonal
+    entry whose doubling overflows (magnitude 2**1023 or more) with
+    `InputError`, before anything is written or any worker is forked, and
+    counts nnz over the entries the rows write: Q is exactly symmetric, so its
+    off-diagonal nonzeros come in pairs; doubling a finite nonzero never gives
+    zero, and -0.0 counts as zero either way.  Each row is formatted by one
+    ``%`` over a template joined from per-column ``"j %r"`` tails, so the bytes
+    are those of a loop writing ``repr(float(2.0 * Q[i, j]))``.
 
     The rows are formatted by one forked worker per available CPU (at most
-    n), dealt round robin: worker w formats rows w, w + W, ... and sends each
-    row's text, length first, down its own pipe.  This process reads the
-    rows back in row order and writes them to `out`, so it holds one row of
-    text at a time.  Without ``os.fork``, or with one CPU, the rows are
-    formatted here.  A worker that fails or dies raises `OSError`, and every
-    worker is killed and reaped before this returns or raises.
+    n), dealt round robin: worker w reads rows w, w + W, ... from q, which it
+    shares with this process copy-on-write, and sends each row's text, length
+    first, down its own pipe.  This process reads the rows back in row order
+    and writes them to `out`, so it holds one row of text at a time.  Without
+    ``os.fork``, or with one CPU, the rows are formatted here.  A worker that
+    fails or dies raises `OSError`, and every worker is killed and reaped
+    before this returns or raises.
     """
-    m = q.matrix
-    with np.errstate(over="ignore"):
-        if not all(np.isfinite(2.0 * m[i, i + 1:]).all() for i in range(q.n)):
-            raise InputError("an off-diagonal QUBO entry overflows when the export doubles it")
-    nnz = (np.count_nonzero(m) + np.count_nonzero(m.diagonal())) // 2
+    nnz = sum(_checked_nonzeros(q.rows(lo, lo + _ROW_BLOCK), lo)
+              for lo in range(0, q.n, _ROW_BLOCK)) // 2
     out.write(f"{q.n} {nnz}\n")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(q.n, cpus) if hasattr(os, "fork") else 1
     if workers < 2:
         for i in range(q.n):
-            out.write(_row_text(m, i))
+            out.write(_row_text(q.rows(i, i + 1)[0], i))
         return
     pids, pipes = [], []
     try:
@@ -431,7 +518,7 @@ def write_qubo(q: QuboInstance, out) -> None:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _send_rows(m, range(w, q.n, workers), wr, pipes)
+                    _send_rows(q, range(w, q.n, workers), wr, pipes)
                 pids.append(pid)
             finally:
                 os.close(wr)
@@ -454,6 +541,19 @@ def write_qubo(q: QuboInstance, out) -> None:
                 os.waitpid(pid, 0)
 
 
+def _checked_nonzeros(block: np.ndarray, lo: int) -> int:
+    """The nonzeros of rows lo:lo+len(block) of Q, plus those of their diagonal entries.
+
+    Raises `InputError` first if an off-diagonal entry of the rows overflows when doubled.
+    """
+    r = np.arange(block.shape[0])
+    off = np.abs(block)
+    off[r, lo + r] = 0.0
+    if off.max() >= 2.0**1023:
+        raise InputError("an off-diagonal QUBO entry overflows when the export doubles it")
+    return np.count_nonzero(block) + np.count_nonzero(block[r, lo + r])
+
+
 @functools.lru_cache(maxsize=1)
 def _column_table(n: int) -> np.ndarray:
     """Read-only object array of the line tails ``"j %r"``, one per column of an n-column QUBO."""
@@ -462,18 +562,23 @@ def _column_table(n: int) -> np.ndarray:
     return table
 
 
-def _row_text(m: np.ndarray, i: int) -> str:
-    """The export lines of row i: its diagonal entry and doubled upper entries, zeros left out."""
-    row = 2.0 * m[i, i:]
-    row[0] = m[i, i]
-    cols = np.flatnonzero(row)
+def _row_text(row: np.ndarray, i: int) -> str:
+    """The export lines of row i of Q, given whole: its diagonal entry and doubled upper entries.
+
+    Zeros are left out.  Only the off-diagonal entries are doubled, so a
+    diagonal entry of 2**1023 or more is written as it is, with no overflow.
+    """
+    upper = np.empty(row.shape[0] - i)
+    upper[0] = row[i]
+    np.multiply(row[i + 1:], 2.0, out=upper[1:])
+    cols = np.flatnonzero(upper)
     if cols.size == 0:
         return ""
-    template = f"{i} " + f"\n{i} ".join(_column_table(m.shape[0])[cols + i].tolist()) + "\n"
-    return template % tuple(row[cols].tolist())
+    template = f"{i} " + f"\n{i} ".join(_column_table(row.shape[0])[cols + i].tolist()) + "\n"
+    return template % tuple(upper[cols].tolist())
 
 
-def _send_rows(m: np.ndarray, rows: range, fd: int, readers: list) -> None:
+def _send_rows(q, rows: range, fd: int, readers: list) -> None:
     """A forked worker's whole life: write each row's ASCII text, length first, to fd, and exit.
 
     It first closes the read ends it inherited (`readers`), so that once the
@@ -489,7 +594,7 @@ def _send_rows(m: np.ndarray, rows: range, fd: int, readers: list) -> None:
             os.close(reader.fileno())
         with open(fd, "wb") as pipe:
             for i in rows:
-                data = _row_text(m, i).encode("ascii")
+                data = _row_text(q.rows(i, i + 1)[0], i).encode("ascii")
                 pipe.write(len(data).to_bytes(8, "little"))
                 pipe.write(data)
                 pipe.flush()

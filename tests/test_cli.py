@@ -256,12 +256,13 @@ class TestRun:
     @pytest.mark.parametrize("argv, builds", [
         (["select", "--formulation", "med"], 1),
         (["select", "--formulation", "kde"], 0),
-        (["export-qubo", "--formulation", "med"], 1),
+        (["export-qubo", "--formulation", "med"], 0),
         (["export-qubo", "--formulation", "kde"], 0),
     ], ids=["select-med", "select-kde", "export-med", "export-kde"])
     def test_complement_distance_is_built_at_most_once(self, blob_file, monkeypatch, capsys,
                                                       argv, builds):
-        # med builds D = 1 - K for its program only; both formulations score
+        # select's med builds D = 1 - K for its program only, and the export
+        # folds a block of rows of 1 - K at a time; both formulations score
         # the selection's scatter from the selected columns of K
         import protoqubo.cli as cli
 
@@ -401,8 +402,12 @@ class TestValidateOnce:
             self, tmp_path, capsys, monkeypatch):
         # with lam >= 8192, fl(a + lam) and fl(b + lam) for |a - b| ~ 1e-13 can
         # land one ulp (1.8e-12) apart: the fold must start from an exactly
-        # symmetric kernel, not re-check a matrix that is only nearly so
+        # symmetric kernel, not re-check a matrix that is only nearly so.  The
+        # export folds by rows, so its file must be that of select's whole fold
+        import io
+
         import protoqubo.cli as cli
+        from protoqubo import write_qubo
 
         points, spec = noisy_gram_files(tmp_path, 200, 5)
         folded = []
@@ -419,12 +424,40 @@ class TestValidateOnce:
                      "--restarts", "1"]) == 0
         assert main(["export-qubo", *common, "--output", str(out)]) == 0
         capsys.readouterr()
-        assert len(folded) == 2
-        for q in folded:
-            assert q.matrix[0, 0] < -8192.0  # the regime where one ulp exceeds 1e-12
-            assert np.array_equal(q.matrix, q.matrix.T)
-        lines = out.read_text().splitlines()
-        assert lines[0] == f"200 {len(lines) - 1}"
+        assert len(folded) == 1
+        q = folded[0]
+        assert q.matrix[0, 0] < -8192.0  # the regime where one ulp exceeds 1e-12
+        assert np.array_equal(q.matrix, q.matrix.T)
+        whole = io.StringIO()
+        write_qubo(q, whole)
+        assert out.read_text() == whole.getvalue()
+
+
+class TestExportMemory:
+    @pytest.mark.parametrize("formulation", ["med", "kde"])
+    def test_peak_memory_is_the_kernel_and_a_few_row_blocks(self, tmp_path, monkeypatch,
+                                                             capsys, two_point_file,
+                                                             formulation):
+        # with one CPU the rows are folded and formatted in process; besides K
+        # the export holds a few blocks of rows and vectors of length n, not
+        # the program or its fold.  A first export of two points builds the
+        # parser, which the process keeps
+        n = 1000
+        data = tmp_path / "points.csv"
+        np.savetxt(data, np.random.default_rng(n).normal(size=(n, 3)), delimiter=",",
+                   fmt="%.17g")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        argv = ["export-qubo", "--input", str(data), "--k", "10", "--formulation", formulation,
+                "--output", str(tmp_path / "q.txt")]
+        assert main([*argv[:2], two_point_file, "--k", "1", *argv[5:]]) == 0
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and capsys.readouterr().err == ""
+        assert peak - 8 * n * n < 0.1 * 8 * n * n, (peak - 8 * n * n) / (8 * n * n)
 
 
 class TestOverflowWarnings:

@@ -22,12 +22,28 @@ from protoqubo import (
     solve_constrained_exhaustive,
     verify_equivalence,
 )
+from protoqubo.formulations import _ProgramRows
 from protoqubo.kernels import DistanceMatrix
+from protoqubo.qubo import sufficient_penalty
 
 
 def random_normalized_kernel(rng, n):
     data = Dataset(rng.normal(size=(n, int(rng.integers(1, 5)))))
     return kernel_matrix(RbfKernel(float(rng.uniform(0.3, 5.0))), data)
+
+
+def noisy_kernel(rng, n):
+    # pairs of coincident points under noise of +-5e-13 (upper triangle
+    # mirrored): a diagonal off 1 and entries above 1, which D = 1 - K zeroes
+    # and clamps
+    x = np.repeat(rng.normal(size=((n + 1) // 2, 2)), 2, axis=0)[:n]
+    gram = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2) / 2.0)
+    noisy = np.triu(gram + rng.uniform(-5e-13, 5e-13, size=gram.shape))
+    return KernelMatrix(noisy + np.triu(noisy, 1).T)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
 class TestMedBuilders:
@@ -168,6 +184,67 @@ class TestComplementDistance:
             kernel_to_distance(KernelMatrix(2.0 * np.eye(2)))
 
 
+class TestProgramRows:
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
+    def test_bits_are_those_of_the_whole_program(self, n):
+        # sizes on both sides of the first and second block edges
+        rng = np.random.default_rng(n)
+        # an all-ones kernel gives D = 0, whose row sums are zeros of one sign
+        kernels = (random_normalized_kernel(rng, n), noisy_kernel(rng, n),
+                   KernelMatrix(np.ones((n, n))))
+        for K in kernels:
+            for k in sorted({1, (n + 1) // 2, n}):
+                for gamma in (None, 2.0 * k / n, 0.37):
+                    whole = (build_kde_qbp(K, k) if gamma is None
+                             else build_med_qbp(kernel_to_distance(K), gamma, k))
+                    program = _ProgramRows.build(K, k, gamma)
+                    np.testing.assert_array_equal(bits(program.rows(0, n)), bits(whole.quadratic))
+                    np.testing.assert_array_equal(bits(program.linear), bits(whole.linear))
+                    lam = sufficient_penalty(whole)
+                    assert program.penalty().hex() == lam.hex()
+                    for lam in (lam, 3.5, 12345.678):
+                        folded = program.fold(lam)
+                        rows = np.vstack([folded.rows(lo, lo + 16) for lo in range(0, n, 16)])
+                        np.testing.assert_array_equal(bits(rows),
+                                                      bits(qbp_to_qubo(whole, lam).matrix))
+
+    def test_kernel_is_freed_without_the_cyclic_collector(self):
+        # a long-lived process (the benchmark runs many exports in one) must
+        # get K's memory back when the export returns, not at the next
+        # collection: the penalty and the fold keep no reference cycle
+        import gc
+        import weakref
+
+        K = random_normalized_kernel(np.random.default_rng(6), 40)
+        alive = weakref.ref(K)
+        gc.disable()
+        try:
+            for gamma in (None, 0.5):
+                program = _ProgramRows.build(K, 3, gamma)
+                folded = program.fold(program.penalty())
+                folded.rows(0, 16)
+            del K, program, folded
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_refusals_are_those_of_the_whole_program(self):
+        K = KernelMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        with pytest.raises(PreconditionError, match="not normalized"):
+            _ProgramRows.build(KernelMatrix(2.0 * np.eye(2)), 1, 0.0)
+        with pytest.raises(InputError, match="^distance matrix has negative entry -1.000e-01$"):
+            _ProgramRows.build(KernelMatrix(np.array([[1.0, 1.1], [1.1, 1.0]])), 1, 1.0)
+        with pytest.raises(InputError, match="^gamma must be positive, got 0.0$"):
+            _ProgramRows.build(K, 1, 0.0)
+        with pytest.raises(InputError, match="^linear part contains non-finite entries$"), \
+                np.errstate(over="ignore"):
+            _ProgramRows.build(KernelMatrix(np.array([[1.0, -1e308], [-1e308, 1.0]])), 1, 1e10)
+        with pytest.raises(InputError, match=r"^cardinality k=3 out of range \[1, 2\]$"):
+            _ProgramRows.build(K, 3)
+        with pytest.raises(InputError, match="^penalty weight must be positive, got 0.0$"):
+            _ProgramRows.build(K, 1).fold(0.0)
+
+
 class TestEquivalence:
     def test_parameter_map(self):
         assert kde_equivalent_med_params(1, 2, 2.0) == (1.0, 1.0)
@@ -194,11 +271,10 @@ class TestEquivalence:
             rep = verify_equivalence(K, k, lam, tolerance=1e-12)
             assert rep.passed, rep
 
-    def test_peak_memory_is_two_matrices(self):
-        # K is the caller's; besides it, verify holds at most the med
-        # quadratic part and its fold, or later the two folded QUBOs, plus a
-        # block of rows of their difference
-        n = 400
+    def test_peak_memory_is_a_few_row_blocks(self):
+        # K is the caller's; besides it, verify holds a few blocks of 16 rows
+        # of the programs and their folds, and vectors of length n
+        n = 1000
         K = random_normalized_kernel(np.random.default_rng(44), n)
         tracemalloc.start()
         try:
@@ -206,7 +282,7 @@ class TestEquivalence:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * 8 * n * n, peak / (8 * n * n)
+        assert peak < 0.1 * 8 * n * n, peak / (8 * n * n)
 
     @pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
     def test_max_abs_diff_is_that_of_the_whole_matrices(self, n):

@@ -176,6 +176,33 @@ class TestSufficientPenalty:
         med = QbpInstance(-d, d.sum(axis=1), 1)
         assert sufficient_penalty(med) == 5.0
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1000, 3000])
+    def test_bits_are_those_of_numpys_sum(self, n):
+        # the bound is summed down numpy's pairwise tree, a few rows at a time;
+        # a numpy whose sum adds in another order fails here
+        from protoqubo import (Dataset, RbfKernel, build_kde_qbp, build_med_qbp,
+                               kernel_matrix, kernel_to_distance)
+        from protoqubo.formulations import _ProgramRows
+
+        def reference(p):
+            return float(1.0 + np.abs(p.quadratic).sum() + np.abs(p.linear).sum())
+
+        rng = np.random.default_rng(n)
+        K = kernel_matrix(RbfKernel(2.0), Dataset(rng.normal(size=(n, 3))))
+        k = (n + 1) // 2
+        for gamma in (None, 2.0 * k / n):
+            p = build_kde_qbp(K, k) if gamma is None else build_med_qbp(kernel_to_distance(K),
+                                                                          gamma, k)
+            lam = reference(p)
+            assert sufficient_penalty(p).hex() == lam.hex(), gamma
+            assert _ProgramRows.build(K, k, gamma).penalty().hex() == lam.hex(), gamma
+            del p
+        del K
+        mixed = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-8, 9, size=(n, n))
+        p = QbpInstance(np.triu(mixed) + np.triu(mixed, 1).T, rng.normal(size=n), k)
+        del mixed
+        assert sufficient_penalty(p).hex() == reference(p).hex()
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_bound_is_an_input_error(self):
         p = QbpInstance(np.array([[1.5e308, 0.0], [0.0, 1.5e308]]), np.zeros(2), 1)
@@ -501,6 +528,9 @@ def assert_no_child_left():
 
 
 class TestExportBytes:
+    # an overflow warning is an error, in process and in the row workers
+    # (which then fail): the export doubles off-diagonal entries only
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", [1, 2, 37, 300])
     def test_matches_the_double_loop(self, n, monkeypatch):
         rng = np.random.default_rng(n)
@@ -520,8 +550,7 @@ class TestExportBytes:
                                       mirrored(rng, n, [1.0, -2.5, 0.0])),
         }
         for name, m in matrices.items():
-            with np.errstate(over="ignore"):
-                assert_export_on_each_cpu_count(monkeypatch, QuboInstance(m), name)
+            assert_export_on_each_cpu_count(monkeypatch, QuboInstance(m), name)
 
     @pytest.mark.parametrize("n", [37, 300])
     def test_matches_the_double_loop_on_a_penalized_kde_qubo(self, n, monkeypatch):

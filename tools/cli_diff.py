@@ -415,6 +415,24 @@ def cases(work: Path) -> list:
         for command in (["select", "--solver", "exhaustive"], ["select", "--solver", "sa"],
                         ["export-qubo"]):
             out.append([*command, "--input", quad, "--k", "2", "--lambda", lam])
+    # from a generator of their own, so no input above moves: sizes on both
+    # sides of the first and second edges of the 16-row blocks that verify and
+    # the export fold, and a mixed-sign kernel (unit diagonal, off-diagonal
+    # entries in [-1, 1], upper triangle mirrored) whose default penalty sums
+    # entries of both signs
+    edge = np.random.default_rng(20300)
+    for n in (15, 16, 17, 33):
+        csv = _write_csv(work / f"edge{n}.csv", _clustered(edge, n, 3))
+        for lam in ([], ["--lambda", "3.5"]):
+            out.append(["verify", "--input", csv, "--k", "3", *lam])
+            for form in ("med", "kde"):
+                out.append(["export-qubo", "--input", csv, "--k", "3", "--formulation", form,
+                            *lam])
+    signs = np.triu(edge.uniform(-1.0, 1.0, size=(17, 17)), 1)
+    signs = _write_csv(work / "k17signs.csv", signs + signs.T + np.eye(17))
+    for form in ("med", "kde"):
+        out.append(["export-qubo", "--input", str(work / "edge17.csv"), "--k", "3",
+                    "--kernel", f"precomputed:{signs}", "--formulation", form])
     return out
 
 
