@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__, formulations, kernels
 from .density import mmd_squared
 from .errors import CapacityError, InputError, NumericalIntegrityError
-from .formulations import build_kde_qbp, build_med_qbp, verify_equivalence
+from .formulations import build_kde_qbp, verify_equivalence
 from .kernels import (
     Dataset,
     KernelMatrix,
@@ -162,11 +162,11 @@ def prepare(args) -> tuple[KernelMatrix, QbpInstance, float]:
 
     Returns the kernel matrix, the program, and the gamma in effect (the
     given one, or 2k/n, at which med and kde coincide).  The med program's
-    D = 1 - K is dropped once the program is built.
+    -D is 1 - K negated in place, so no D is held beside it.
     """
     K, gamma = _load_program(args)
     if args.formulation == "med":
-        return K, build_med_qbp(kernel_to_distance(K), gamma, args.k), gamma
+        return K, formulations._ProgramRows.build(K, args.k, gamma).qbp(), gamma
     return K, build_kde_qbp(K, args.k), gamma
 
 

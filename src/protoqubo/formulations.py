@@ -114,6 +114,11 @@ class _ProgramRows:
     def rows(self, lo: int, hi: int) -> np.ndarray:
         return _quadratic_rows(self.K, self.gamma, lo, hi)
 
+    def qbp(self) -> QbpInstance:
+        """The whole program: for med, `build_med_qbp(kernel_to_distance(K), gamma, k)` bit for
+        bit, its -D negated in place from 1 - K, so no D is held beside it."""
+        return _derived(QbpInstance, self.rows(0, self.K.n), self.linear, self.k)
+
     def penalty(self) -> float:
         """`sufficient_penalty` of the program."""
         return _penalty_bound(self.rows, self.K.n, self.linear)

@@ -24,13 +24,17 @@ both paths give the same bits.
 
 `write_qubo` streams a QUBO to a text stream one row at a time, for external
 QUBO solvers.  Each row's lines are one ``%`` over a row template, whose
-``%r`` fields write the bytes of a ``repr`` loop over the entries.  One forked
-worker per available CPU reads and formats the rows, dealt round robin, and
-sends them back over a pipe each; the calling process writes them in row
-order, so the bytes are those of the one-process loop, which runs instead
-without ``os.fork`` or with one CPU.  The export of n = 3000 points holds K
-and row blocks alone: its process peaks at about 99 MB, and each row worker
-at about 92 MB, most of it K's 72 MB shared copy-on-write.
+``%s`` fields write the bytes of a ``repr`` loop over the entries.  Under a
+large penalty most doubled entries pile up on a few doubles just above the
+least positive one, the export's floor, so each process that formats rows
+takes those from one table of their reprs (`_repr_table`) and calls ``repr``
+on the rest alone.  One forked worker per available CPU reads and formats
+the rows, dealt round robin, and sends them back over a pipe each; the
+calling process writes them in row order, so the bytes are those of the
+one-process loop, which runs instead without ``os.fork`` or with one CPU.
+The export of n = 3000 points holds K and row blocks alone: its process
+peaks at about 99 MB, and each row worker at about 95 MB, most of it K's
+72 MB shared copy-on-write.
 """
 
 from __future__ import annotations
@@ -488,27 +492,35 @@ def write_qubo(q: QuboInstance, out) -> None:
     `InputError`, before anything is written or any worker is forked, and
     counts nnz over the entries the rows write: Q is exactly symmetric, so its
     off-diagonal nonzeros come in pairs; doubling a finite nonzero never gives
-    zero, and -0.0 counts as zero either way.  Each row is formatted by one
-    ``%`` over a template joined from per-column ``"j %r"`` tails, so the bytes
-    are those of a loop writing ``repr(float(2.0 * Q[i, j]))``.
+    zero, and -0.0 counts as zero either way.  The same pass finds the
+    export's floor, the least positive doubled off-diagonal entry.  Each row
+    is formatted by one ``%`` over a template joined from per-column
+    ``"j %s"`` tails, so the bytes are those of a loop writing
+    ``repr(float(2.0 * Q[i, j]))``: a value among the doubles just above the
+    floor takes its text from the process's `_repr_table`, built once, and
+    the others are Python floats, whose ``str`` is their ``repr``.
 
     The rows are formatted by one forked worker per available CPU (at most
     n), dealt round robin: worker w reads rows w, w + W, ... from q, which it
-    shares with this process copy-on-write, and sends each row's text, length
-    first, down its own pipe.  This process reads the rows back in row order
-    and writes them to `out`, so it holds one row of text at a time.  Without
-    ``os.fork``, or with one CPU, the rows are formatted here.  A worker that
-    fails or dies raises `OSError`, and every worker is killed and reaped
-    before this returns or raises.
+    shares with this process copy-on-write, builds its own table, and sends
+    each row's text, length first, down its own pipe.  This process reads the
+    rows back in row order and writes them to `out`, so it holds one row of
+    text at a time.  Without ``os.fork``, or with one CPU, the rows are
+    formatted here.  A worker that fails or dies raises `OSError`, and every
+    worker is killed and reaped before this returns or raises.
     """
-    nnz = sum(_checked_nonzeros(q.rows(lo, lo + _ROW_BLOCK), lo)
-              for lo in range(0, q.n, _ROW_BLOCK)) // 2
+    nnz, floor = 0, math.inf
+    for lo in range(0, q.n, _ROW_BLOCK):
+        count, low = _checked_nonzeros(q.rows(lo, lo + _ROW_BLOCK), lo)
+        nnz, floor = nnz + count, min(floor, low)
+    nnz //= 2
     out.write(f"{q.n} {nnz}\n")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(q.n, cpus) if hasattr(os, "fork") else 1
     if workers < 2:
+        table = _repr_table(floor, nnz)
         for i in range(q.n):
-            out.write(_row_text(q.rows(i, i + 1)[0], i))
+            out.write(_row_text(q.rows(i, i + 1)[0], i, table))
         return
     pids, pipes = [], []
     try:
@@ -518,7 +530,7 @@ def write_qubo(q: QuboInstance, out) -> None:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _send_rows(q, range(w, q.n, workers), wr, pipes)
+                    _send_rows(q, range(w, q.n, workers), wr, pipes, floor, nnz // workers)
                 pids.append(pid)
             finally:
                 os.close(wr)
@@ -541,8 +553,9 @@ def write_qubo(q: QuboInstance, out) -> None:
                 os.waitpid(pid, 0)
 
 
-def _checked_nonzeros(block: np.ndarray, lo: int) -> int:
-    """The nonzeros of rows lo:lo+len(block) of Q, plus those of their diagonal entries.
+def _checked_nonzeros(block: np.ndarray, lo: int) -> tuple[int, float]:
+    """The nonzeros of rows lo:lo+len(block) of Q, plus those of their diagonal entries,
+    and the rows' least positive doubled off-diagonal entry (inf if there is none).
 
     Raises `InputError` first if an off-diagonal entry of the rows overflows when doubled.
     """
@@ -551,22 +564,57 @@ def _checked_nonzeros(block: np.ndarray, lo: int) -> int:
     off[r, lo + r] = 0.0
     if off.max() >= 2.0**1023:
         raise InputError("an off-diagonal QUBO entry overflows when the export doubles it")
-    return np.count_nonzero(block) + np.count_nonzero(block[r, lo + r])
+    off[r, lo + r] = np.inf  # off holds the positive off-diagonal entries as they are
+    return (np.count_nonzero(block) + np.count_nonzero(block[r, lo + r]),
+            2.0 * float(np.min(off, where=block > 0.0, initial=np.inf)))
 
 
 @functools.lru_cache(maxsize=1)
 def _column_table(n: int) -> np.ndarray:
-    """Read-only object array of the line tails ``"j %r"``, one per column of an n-column QUBO."""
-    table = np.array([f"{j} %r" for j in range(n)], dtype=object)
+    """Read-only object array of the line tails ``"j %s"``, one per column of an n-column QUBO."""
+    table = np.array([f"{j} %s" for j in range(n)], dtype=object)
     table.setflags(write=False)
     return table
 
 
-def _row_text(row: np.ndarray, i: int) -> str:
+# With the sufficient penalty every off-diagonal entry is fl(A_ij + lam), and
+# where A's tail is below an ulp of lam the doubled entries pile up on a few
+# doubles just above the floor: on the n = 3000 kde fold of build_large, 40.3%
+# of the entries lie in the first 2**12 doubles from the floor, 45.2% in the
+# first 2**14 and 50.6% in the first 2**16 (77.2% of the med fold's).  A table
+# entry costs one repr to build and about 74 bytes to keep.  A process keeps at
+# most one entry per 128 values it writes, so its table takes under 0.6 bytes
+# per value written (a fortieth of the text) and an export with no pile-up
+# builds at most 1/128 more reprs than it writes; each of build_large's two
+# workers, writing 2.25 million values, keeps 17,583.  A doubling of the table
+# adds only about 2.6 points to the share it takes, so the table is capped at
+# 2**16 entries (4.9 MB) per process.
+_REPR_TABLE_MAX = 1 << 16
+_REPR_TABLE_SHARE = 128
+_FINITE_END = np.float64(np.inf).view(np.uint64)  # bits just past the largest double
+
+
+def _repr_table(floor: float, entries: int) -> tuple[np.uint64, np.ndarray]:
+    """The first double's bits and the reprs of the finite doubles upward from `floor`,
+    indexed by bit-pattern offset, for a process that writes `entries` values.
+
+    The table is empty for an infinite floor (a QUBO with no positive
+    off-diagonal entry).  Its strings are the reprs of the doubles with
+    exactly those bits, so a value found in it is written as its own repr.
+    """
+    base = np.float64(floor).view(np.uint64)
+    size = min(_REPR_TABLE_MAX, entries // _REPR_TABLE_SHARE, int(_FINITE_END - base))
+    doubles = np.arange(base, base + np.uint64(size), dtype=np.uint64).view(np.float64)
+    return base, np.fromiter(map(repr, map(float, doubles)), dtype=object, count=size)
+
+
+def _row_text(row: np.ndarray, i: int, table: tuple[np.uint64, np.ndarray]) -> str:
     """The export lines of row i of Q, given whole: its diagonal entry and doubled upper entries.
 
     Zeros are left out.  Only the off-diagonal entries are doubled, so a
     diagonal entry of 2**1023 or more is written as it is, with no overflow.
+    A value whose bits lie in the range of `table` (from `_repr_table`),
+    diagonal or not, is written as the table's string; the rest as floats.
     """
     upper = np.empty(row.shape[0] - i)
     upper[0] = row[i]
@@ -575,26 +623,35 @@ def _row_text(row: np.ndarray, i: int) -> str:
     if cols.size == 0:
         return ""
     template = f"{i} " + f"\n{i} ".join(_column_table(row.shape[0])[cols + i].tolist()) + "\n"
-    return template % tuple(upper[cols].tolist())
+    values = upper[cols]
+    base, texts = table
+    # offsets wrap modulo 2**64: a value below the base, or negative, lands 2**52 or more past it
+    offsets = values.view(np.uint64) - base
+    hit = offsets < texts.shape[0]
+    args = values.astype(object)
+    args[hit] = texts[offsets[hit]]
+    return template % tuple(args.tolist())
 
 
-def _send_rows(q, rows: range, fd: int, readers: list) -> None:
+def _send_rows(q, rows: range, fd: int, readers: list, floor: float, entries: int) -> None:
     """A forked worker's whole life: write each row's ASCII text, length first, to fd, and exit.
 
     It first closes the read ends it inherited (`readers`), so that once the
     parent is gone nothing reads any pipe and the next write fails: a worker
-    never outlives its parent blocked on a full pipe.  It leaves through
-    ``os._exit`` on every path, so it never returns into the caller's stack,
-    flushes the parent's inherited buffers or runs ``atexit``; a failure
-    shows as an early end of the pipe.
+    never outlives its parent blocked on a full pipe.  It then builds its own
+    `_repr_table` from the export's floor for the `entries` values it writes.
+    It leaves through ``os._exit`` on every path, so it never returns into the
+    caller's stack, flushes the parent's inherited buffers or runs ``atexit``;
+    a failure shows as an early end of the pipe.
     """
     code = 1
     try:
         for reader in readers:
             os.close(reader.fileno())
+        table = _repr_table(floor, entries)
         with open(fd, "wb") as pipe:
             for i in rows:
-                data = _row_text(q.rows(i, i + 1)[0], i).encode("ascii")
+                data = _row_text(q.rows(i, i + 1)[0], i, table).encode("ascii")
                 pipe.write(len(data).to_bytes(8, "little"))
                 pipe.write(data)
                 pipe.flush()

@@ -254,16 +254,16 @@ class TestRun:
         assert qubo_energy(q, sel) == pytest.approx(result["objective"], abs=1e-9)
 
     @pytest.mark.parametrize("argv, builds", [
-        (["select", "--formulation", "med"], 1),
+        (["select", "--formulation", "med"], 0),
         (["select", "--formulation", "kde"], 0),
         (["export-qubo", "--formulation", "med"], 0),
         (["export-qubo", "--formulation", "kde"], 0),
     ], ids=["select-med", "select-kde", "export-med", "export-kde"])
     def test_complement_distance_is_built_at_most_once(self, blob_file, monkeypatch, capsys,
                                                       argv, builds):
-        # select's med builds D = 1 - K for its program only, and the export
-        # folds a block of rows of 1 - K at a time; both formulations score
-        # the selection's scatter from the selected columns of K
+        # select's med negates 1 - K in place for its program's -D, and the
+        # export folds a block of rows of 1 - K at a time; both formulations
+        # score the selection's scatter from the selected columns of K
         import protoqubo.cli as cli
 
         calls = []
@@ -460,6 +460,28 @@ class TestExportMemory:
         assert peak - 8 * n * n < 0.1 * 8 * n * n, (peak - 8 * n * n) / (8 * n * n)
 
 
+class TestSelectMemory:
+    def test_med_program_builds_no_distance_matrix(self, tmp_path):
+        # prepare holds K and the med program's -D, 1 - K negated in place:
+        # 2 x 8n^2 and a few row blocks, not the 3 x 8n^2 of K, D = 1 - K and -D
+        from protoqubo.cli import _parser, prepare
+
+        n = 1000
+        data = tmp_path / "points.csv"
+        np.savetxt(data, np.random.default_rng(n).normal(size=(n, 3)), delimiter=",",
+                   fmt="%.17g")
+        args = _parser().parse_args(["select", "--input", str(data), "--k", "10",
+                                     "--formulation", "med", "--solver", "constrained"])
+        tracemalloc.start()
+        try:
+            K, program, gamma = prepare(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert program.quadratic.shape == (n, n) and gamma == 2.0 * 10 / n
+        assert peak < 2.5 * 8 * n * n, peak / (8 * n * n)
+
+
 class TestOverflowWarnings:
     # an overflow to +inf in a pairwise sum or in s / h is the right value (a
     # kernel entry of 0, or a distance matrix refused), so no numpy warning
@@ -638,10 +660,10 @@ class TestMainEntry:
 
         row_text = qubo._row_text
 
-        def breaks_at_row_5(m, i):
+        def breaks_at_row_5(m, i, table):
             if i == 5:
                 raise ValueError("row 5")
-            return row_text(m, i)
+            return row_text(m, i, table)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(qubo, "_row_text", breaks_at_row_5)
@@ -666,10 +688,10 @@ class TestMainEntry:
 
         row_text = qubo._row_text
 
-        def breaks_at_row_5(m, i):
+        def breaks_at_row_5(m, i, table):
             if i == 5:
                 raise ValueError("row 5")
-            return row_text(m, i)
+            return row_text(m, i, table)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(qubo, "_row_text", breaks_at_row_5)

@@ -200,6 +200,10 @@ class TestProgramRows:
                     program = _ProgramRows.build(K, k, gamma)
                     np.testing.assert_array_equal(bits(program.rows(0, n)), bits(whole.quadratic))
                     np.testing.assert_array_equal(bits(program.linear), bits(whole.linear))
+                    built = program.qbp()
+                    np.testing.assert_array_equal(bits(built.quadratic), bits(whole.quadratic))
+                    np.testing.assert_array_equal(bits(built.linear), bits(whole.linear))
+                    assert built.k == whole.k and not built.quadratic.flags.writeable
                     lam = sufficient_penalty(whole)
                     assert program.penalty().hex() == lam.hex()
                     for lam in (lam, 3.5, 12345.678):

@@ -1,5 +1,5 @@
 """Smoke test of tools/kernel_ab.py: a tree against itself at perfbench's smoke
-sizes agrees and times every round, and a changed result is a disagreement."""
+sizes agrees and times every round, and a changed result or export is a disagreement."""
 
 import importlib.util
 import shutil
@@ -15,7 +15,8 @@ spec.loader.exec_module(kernel_ab)
 
 
 @pytest.mark.parametrize("workload, kernel", [("select_exact", "accel.constrained_best"),
-                                              ("select_sa", "accel.sa_run")])
+                                              ("select_sa", "accel.sa_run"),
+                                              ("build_large", "qubo.write_qubo")])
 def test_tree_against_itself_agrees(workload, kernel):
     res = kernel_ab.compare(str(SRC), str(SRC), workload, seed=3, rounds=3, smoke=True)
     assert res["identical"]
@@ -34,3 +35,15 @@ def test_changed_energy_bits_are_a_disagreement(tmp_path):
     accel.write_text(text.replace(result, result + " + 1.0"))
     res = kernel_ab.compare(str(SRC), str(changed), "select_exact", seed=3, rounds=2, smoke=True)
     assert not res["identical"]
+
+
+def test_changed_export_bytes_are_a_disagreement(tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(SRC, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    qubo = changed / "protoqubo" / "qubo.py"
+    text = qubo.read_text()
+    header = 'out.write(f"{q.n} {nnz}\\n")'
+    assert text.count(header) == 1
+    qubo.write_text(text.replace(header, 'out.write(f"{q.n}  {nnz}\\n")'))
+    res = kernel_ab.compare(str(SRC), str(changed), "build_large", seed=3, rounds=2, smoke=True)
+    assert res["calls"] == 1 and not res["identical"]

@@ -2,6 +2,7 @@ import io
 import itertools
 import os
 import signal
+import sys
 import tracemalloc
 import warnings
 
@@ -597,6 +598,132 @@ class TestExportBytes:
             assert_no_child_left()
 
 
+def above(x, ulps):
+    """The double `ulps` bit patterns above the nonnegative double x (below it for ulps < 0)."""
+    return float((np.array([x]).view(np.int64) + ulps).view(np.float64)[0])
+
+
+def table_size(floor, entries):
+    """How many doubles from `floor` up the export's repr table holds for `entries` values."""
+    return qubo._repr_table(floor, entries)[1].shape[0]
+
+
+def spread_fold(n, formulation):
+    """The penalized fold of n normal points spread 2.5 wide, under rbf:2 with k = 3: the
+    kernel of far pairs is below an ulp of the penalty, so their entries pile up on a few doubles."""
+    from protoqubo import (Dataset, RbfKernel, build_kde_qbp, build_med_qbp, kernel_matrix,
+                           kernel_to_distance)
+
+    points = 2.5 * np.random.default_rng(n).normal(size=(n, 3))
+    K = kernel_matrix(RbfKernel(2.0), Dataset(points))
+    p = (build_kde_qbp(K, 3) if formulation == "kde"
+         else build_med_qbp(kernel_to_distance(K), 2.0 * 3 / n, 3))
+    return qbp_to_qubo(p, sufficient_penalty(p))
+
+
+class TestExportReprTable:
+    # the doubled entries just above the least positive doubled off-diagonal
+    # entry (the floor) are written from a table of reprs; the bytes stay the loop's
+    @pytest.mark.filterwarnings("error")
+    def test_the_table_edges_other_signs_and_diagonal(self, monkeypatch):
+        n = 60  # every entry is nonzero: 1830 values, so each CPU count sizes its own table
+        rng = np.random.default_rng(7)
+        for cpus in (1, 2, 3):
+            size = table_size(3.0, n * (n + 1) // 2 // cpus)
+            assert size > 2, (cpus, size)
+            upper = rng.uniform(1.5, 2.5, size=(n, n))
+            upper[0, 1] = 1.5  # the floor 3.0
+            for j, ulps in enumerate([size - 1, size, size + 1, 0, 1], start=2):
+                upper[0, j] = above(3.0, ulps) / 2.0
+                upper[1, j] = -above(3.0, ulps) / 2.0
+            m = np.triu(upper) + np.triu(upper, 1).T
+            m[np.diag_indices(n)] = rng.uniform(-9.0, 9.0, size=n)
+            # diagonal entries are written as they are: inside the range, at its end, past it
+            for i, ulps in zip((2, 3, 4, 5), (0, 2, size - 1, size)):
+                m[i, i] = above(3.0, ulps)
+            m[6, 6] = -3.0
+            m[7, 7] = 0.25  # a positive diagonal entry below the floor, which it does not set
+            assert qubo._checked_nonzeros(m, 0) == (n * (n + 1), 3.0)
+            q = QuboInstance(m)
+            available_cpus(monkeypatch, cpus)
+            assert export_qubo(q) == export_qubo_reference(q), cpus
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_positive_off_diagonal_entry_gives_no_table(self, monkeypatch):
+        n = 50
+        rng = np.random.default_rng(8)
+        negative = -np.abs(random_symmetric(rng, n)) * (rng.random((n, n)) < 0.5)
+        negative = np.triu(negative) + np.triu(negative, 1).T
+        negative[np.diag_indices(n)] = rng.uniform(0.5, 2.0, size=n)  # positive, not a floor
+        assert qubo._checked_nonzeros(negative, 0)[1] == np.inf
+        assert table_size(np.inf, 10**9) == 0
+        assert_export_on_each_cpu_count(monkeypatch, QuboInstance(negative), "negative")
+        diagonal = np.diag(rng.uniform(0.5, 2.0, size=n))
+        assert_export_on_each_cpu_count(monkeypatch, QuboInstance(diagonal), "diagonal")
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_floor_near_the_largest_double(self, monkeypatch):
+        # the largest double's bits are 2**63 - 2**52 - 1; a floor two patterns
+        # below it leaves room for three table entries, however many values
+        top = np.finfo(np.float64).max
+        floor = above(top, -2)
+        assert table_size(floor, 10**9) == 3 and table_size(top, 10**9) == 1
+        n = 40
+        rng = np.random.default_rng(9)
+        m = mirrored(rng, n, [floor / 2.0, above(floor, 1) / 2.0, top / 2.0, -top / 2.0, 0.0])
+        m[np.diag_indices(n)] = np.resize([top, -top, floor, 2.0**1023, 1.0], n)
+        assert_export_on_each_cpu_count(monkeypatch, QuboInstance(m), "near the top")
+
+    @pytest.mark.parametrize("formulation", ["kde", "med"])
+    def test_penalized_folds_at_n_1000(self, monkeypatch, formulation):
+        q = spread_fold(1000, formulation)
+        m = q.matrix
+        off = ~np.eye(q.n, dtype=bool)
+        floor = 2.0 * m[off & (m > 0)].min()
+        written = np.concatenate([2.0 * m[np.triu(off)], np.diag(m)])
+        written = written[written != 0.0]
+        expected = export_qubo_reference(q)
+        for cpus in (1, 2, 3):
+            # the table's end, stepped up from the floor one double at a time
+            end = floor
+            for _ in range(table_size(floor, written.size // cpus)):
+                end = np.nextafter(end, np.inf)
+            share = np.mean((written >= floor) & (written < end))
+            # most hits are not the floor itself
+            assert share > 0.3 and share > 1.5 * np.mean(written == floor), (cpus, share)
+            available_cpus(monkeypatch, cpus)
+            assert export_qubo(q) == expected, cpus
+
+    def test_one_cpu_holds_a_row_of_text_and_the_table(self, monkeypatch):
+        # in process, the export holds the table, built once, and one row's
+        # text with what formatting it holds: per value of about 24 characters,
+        # 8-byte slots in six arrays and the argument tuple, a 24-byte float,
+        # its template tail and its text, under six times the row's text.  The
+        # columns' tails are cached by a first export, as the process keeps them
+        n = 1000
+        q = penalized_kde_qubo(n)
+        m = q.matrix
+        off = ~np.eye(n, dtype=bool)
+        floor = 2.0 * m[off & (m > 0)].min()
+        nnz = int((np.count_nonzero(m) + np.count_nonzero(np.diag(m))) // 2)
+        texts = qubo._repr_table(floor, nnz)[1]
+        table_bytes = texts.nbytes + sum(map(sys.getsizeof, texts))
+        row = np.concatenate([m[0, :1], 2.0 * m[0, 1:]])
+        row_text = sum(len(f"0 {j} {float(v)!r}\n") for j, v in enumerate(row) if v != 0.0)
+        available_cpus(monkeypatch, 1)
+        write_qubo(q, CharCounter())
+        sink = CharCounter()
+        tracemalloc.start()
+        try:
+            write_qubo(q, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert texts.size > 1000 and row_text > 20_000
+        assert peak < table_bytes + 6 * row_text, (peak - table_bytes) / row_text
+        assert table_bytes + 6 * row_text < sink.chars / 25
+
+
 class FailingSink(CharCounter):
     """A text sink whose write raises OSError once it has taken `writes` writes."""
 
@@ -624,12 +751,12 @@ class TestExportWorkers:
     def test_a_failing_worker_is_an_error(self, monkeypatch, failure, code):
         row_text = qubo._row_text
 
-        def breaks_at_row_5(m, i):
+        def breaks_at_row_5(m, i, table):
             if i == 5:
                 if failure == "is killed":
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise ValueError("row 5")
-            return row_text(m, i)
+            return row_text(m, i, table)
 
         available_cpus(monkeypatch, 2)
         monkeypatch.setattr(qubo, "_row_text", breaks_at_row_5)
@@ -642,7 +769,7 @@ class TestExportWorkers:
 
     def test_one_cpu_or_no_fork_formats_in_process(self, monkeypatch):
         # the in-process loop raises the row's own error; no worker is started
-        def broken(m, i):
+        def broken(m, i, table):
             raise ValueError(f"row {i}")
 
         monkeypatch.setattr(qubo, "_row_text", broken)
