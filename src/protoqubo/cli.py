@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__, formulations, kernels
 from .density import mmd_squared
 from .errors import CapacityError, InputError, NumericalIntegrityError
-from .formulations import build_kde_qbp, verify_equivalence
+from .formulations import verify_equivalence
 from .kernels import (
     Dataset,
     KernelMatrix,
@@ -44,16 +44,7 @@ from .kernels import (
     kernel_to_distance,
 )
 from .medoids import lloyd_kmedoids
-from .qubo import (
-    QbpInstance,
-    SaSchedule,
-    qbp_to_qubo,
-    solve_constrained_exhaustive,
-    solve_exhaustive,
-    solve_sa,
-    sufficient_penalty,
-    write_qubo,
-)
+from .qubo import SaSchedule, solve_constrained_exhaustive, solve_exhaustive, solve_sa, write_qubo
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -144,30 +135,21 @@ def _load(args) -> tuple[Dataset, Optional[KernelMatrix]]:
     return data, None if args.kernel is None else kernel_matrix(parse_kernel(args.kernel), data)
 
 
-def _load_program(args) -> tuple[KernelMatrix, float]:
-    """Check gamma, load the data and kernel, and check k; return K and the gamma in effect.
+def prepare(args) -> tuple[KernelMatrix, formulations._ProgramRows, float]:
+    """Check gamma, load the data and kernel, check k, and build the program by rows.
 
-    That is the given gamma, or 2k/n, at which med and kde coincide.
+    Returns the kernel matrix, the constrained program of `select` and
+    `export-qubo` (`_ProgramRows`, which holds K and vectors of length n),
+    and the gamma in effect: the given one, or 2k/n, at which med and kde
+    coincide.
     """
     if args.formulation != "med" and args.gamma is not None:
         raise InputError("--gamma applies to the med formulation only")
     data, K = _load(args)
-    if not (1 <= args.k <= data.n):
-        raise InputError(f"cardinality k={args.k} out of range [1, {data.n}]")
-    return K, args.gamma if args.gamma is not None else 2.0 * args.k / data.n
-
-
-def prepare(args) -> tuple[KernelMatrix, QbpInstance, float]:
-    """Check gamma, load the data and kernel, and build the constrained program.
-
-    Returns the kernel matrix, the program, and the gamma in effect (the
-    given one, or 2k/n, at which med and kde coincide).  The med program's
-    -D is 1 - K negated in place, so no D is held beside it.
-    """
-    K, gamma = _load_program(args)
-    if args.formulation == "med":
-        return K, formulations._ProgramRows.build(K, args.k, gamma).qbp(), gamma
-    return K, build_kde_qbp(K, args.k), gamma
+    kernels._cardinality(args.k, data.n)
+    gamma = args.gamma if args.gamma is not None else 2.0 * args.k / data.n
+    med = args.formulation == "med"
+    return K, formulations._ProgramRows.build(K, args.k, gamma if med else None), gamma
 
 
 def _provenance(args, config_extra: dict, **top) -> dict:
@@ -190,16 +172,16 @@ def run(args) -> dict:
     """The report of a parsed `select` command line: build, solve, and score the selection."""
     # checked before any input is read, whichever solver runs
     schedule = SaSchedule(sweeps=args.sweeps, restarts=args.restarts)
-    K, qbp, gamma = prepare(args)
+    K, program, gamma = prepare(args)
 
     lam = args.lam
     if args.solver == "constrained":
-        report = solve_constrained_exhaustive(qbp)
+        report = solve_constrained_exhaustive(program.qbp())
         lam = None
     else:
         if lam is None:
-            lam = sufficient_penalty(qbp)
-        q = qbp_to_qubo(qbp, lam)
+            lam = program.penalty()
+        q = program.fold(lam).qubo()
         if args.solver == "exhaustive":
             report = solve_exhaustive(q)
         else:
@@ -419,9 +401,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    K, gamma = _load_program(args)
-    program = formulations._ProgramRows.build(K, args.k,
-                                              gamma if args.formulation == "med" else None)
+    _, program, _ = prepare(args)
     lam = args.lam if args.lam is not None else program.penalty()
     q = program.fold(lam)  # checked before the output is opened, so a fold error writes nothing
     with _destination(args.output) as fh:

@@ -14,8 +14,10 @@ K; after scaling by k^2 it reads
 This module builds only the constrained programs; both are turned into QUBO
 matrices by the one generic penalty fold, `qubo.qbp_to_qubo`.  `_ProgramRows`
 builds either program of a kernel a block of rows at a time, with the same
-bits, for `verify_equivalence` and the export, which then hold K and no
-n x n program or fold.  For a
+bits, for every command: `verify_equivalence` and the export hold K and no
+n x n program or fold, and `select` holds beside K only the whole program its
+k-subset scan reads (`qbp`; for kde, K itself) or the whole fold its 2^n scan
+and annealer read.  For a
 normalized kernel and the complement distance ``D = 1 - K``, setting
 ``gamma = 2k/n`` makes the two folded matrices identical once the MED penalty
 exceeds the KDE penalty by exactly 1, and makes the constrained objectives
@@ -30,8 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError
-from .kernels import (_ROW_BLOCK, DistanceMatrix, KernelMatrix, _check_complement,
-                      _complement_rows, _derived)
+from .kernels import (_ROW_BLOCK, DistanceMatrix, KernelMatrix, _cardinality,
+                      _check_complement, _complement_rows, _derived)
 from .qubo import QbpInstance, _FoldedRows, _fold_diagonal, _linear_part, _penalty_bound
 
 
@@ -56,9 +58,10 @@ def build_kde_qbp(K: KernelMatrix, k: int) -> QbpInstance:
     """Constrained density-matching program: quadratic K, linear -(2k/n) * (row sums of K).
 
     On feasible points the objective is k^2 times the squared MMD minus the
-    constant (k/n)^2 * (grand sum of K).  The quadratic part shares K's entries.
+    constant (k/n)^2 * (grand sum of K).  The quadratic part shares K's
+    entries, and the linear part is that of `_ProgramRows`.
     """
-    return _derived(QbpInstance, K.entries, -(2.0 * k / K.n) * K.entries.sum(axis=1), k)
+    return _derived(QbpInstance, K.entries, _ProgramRows.build(K, k).linear, k)
 
 
 def _check_gamma(gamma: float) -> None:
@@ -81,9 +84,9 @@ class _ProgramRows:
     Its quadratic rows are `_quadratic_rows`, and its linear part is
     ``-(2k/n)`` times K's row sums or ``gamma`` times D's, which a row-wise
     sum gives in the bits of the whole matrix's.  So every entry, the penalty
-    and the fold have the bits that `build_kde_qbp(K, k)` or
-    `build_med_qbp(kernel_to_distance(K), gamma, k)`, then `sufficient_penalty`
-    and `qbp_to_qubo`, give, and no n x n array is held.
+    and the fold have the bits that `build_kde_qbp(K, k)` (whose linear part
+    is this one's) or `build_med_qbp(kernel_to_distance(K), gamma, k)`, then
+    `sufficient_penalty` and `qbp_to_qubo`, give, and no n x n array is held.
     """
 
     K: KernelMatrix
@@ -139,10 +142,7 @@ def kde_equivalent_med_params(k: int, n: int, med_lambda: float) -> tuple[float,
     The unit shift between the penalties absorbs the all-ones offset between
     -D and K; med_lambda must exceed 1 so the KDE penalty stays positive.
     """
-    if not (1 <= k <= n):
-        raise InputError(f"cardinality k={k} out of range [1, {n}]")
-    if k % 1 != 0:
-        raise InputError(f"cardinality k must be an integer, got {k}")
+    _cardinality(k, n)
     if not (np.isfinite(med_lambda) and med_lambda > 1):
         raise InputError(f"med_lambda must be > 1, got {med_lambda}")
     return 2.0 * k / n, med_lambda - 1.0

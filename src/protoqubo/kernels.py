@@ -22,8 +22,10 @@ precomputed kernel file, which `cli.parse_kernel` reads into a `KernelMatrix`,
 and the arrays passed to the public constructors of the matrix types here and
 in `qubo`.  The one validator, `_symmetric_matrix`, copies, checks and mirrors
 the upper triangle onto the lower, so a lower entry may move by at most
-``SYMMETRY_TOL``.  Every matrix the package computes is exactly symmetric by
-construction, so `_derived` wraps it without a second n^2 copy and check:
+``SYMMETRY_TOL``.  Beside it, `_cardinality` and `_seed` are the one check
+of a cardinality k and of a random seed.  Every matrix the package computes
+is exactly symmetric by construction, so `_derived` wraps it without a
+second n^2 copy and check:
 `kernel_matrix` and `euclidean_distance_matrix` from checked points, and what
 is derived from a validated matrix (``1 - K``, ``-D``, ``A + lam``).  The one
 check kept on computed matrices is that Euclidean distances are finite: a
@@ -69,6 +71,24 @@ def _symmetric_matrix(entries, name: str) -> np.ndarray:
         for i in range(n):
             m[i:, i] = m[i, i:]
     return m
+
+
+def _cardinality(k, n: int) -> int:
+    """The one check of a cardinality: k in [1, n], then an integer; returns it as an int."""
+    if not (1 <= k <= n):
+        raise InputError(f"cardinality k={k} out of range [1, {n}]")
+    if k % 1 != 0:
+        raise InputError(f"cardinality k must be an integer, got {k}")
+    return int(k)
+
+
+def _seed(seed) -> int:
+    """The one check of a random seed: nonnegative, then an integer; returns it as an int."""
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
+    if seed % 1 != 0:
+        raise InputError(f"seed must be an integer, got {seed}")
+    return int(seed)
 
 
 def _derived(cls, *fields):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .kernels import DistanceMatrix
+from .kernels import DistanceMatrix, _cardinality, _seed
 
 MAX_ITER = 100  # alternations of `lloyd_kmedoids` before it stops short of a fixed point
 
@@ -99,16 +99,9 @@ def lloyd_kmedoids(D: DistanceMatrix, k: int, seed: int) -> ClusterAssignment:
     The scatter objective never increases across iterations.  A k or seed
     that is not an integer, and a negative seed, raise `InputError`.
     """
-    if not (1 <= k <= D.n):
-        raise InputError(f"cardinality k={k} out of range [1, {D.n}]")
-    if k % 1 != 0:
-        raise InputError(f"cardinality k must be an integer, got {k}")
-    if seed < 0:
-        raise InputError(f"seed must be nonnegative, got {seed}")
-    if seed % 1 != 0:
-        raise InputError(f"seed must be an integer, got {seed}")
-    rng = np.random.default_rng(int(seed))
-    medoids = np.sort(rng.choice(D.n, size=int(k), replace=False).astype(np.int64))
+    k = _cardinality(k, D.n)
+    rng = np.random.default_rng(_seed(seed))
+    medoids = np.sort(rng.choice(D.n, size=k, replace=False).astype(np.int64))
     for _ in range(MAX_ITER):
         _, new_medoids = lloyd_iteration(D, medoids)
         if np.array_equal(new_medoids, medoids):

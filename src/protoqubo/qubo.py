@@ -14,13 +14,14 @@ not checked again.
 Solvers: exhaustive enumeration (ground truth, hard-capped), enumeration of
 the feasible k-subsets, and single-bit-flip Metropolis simulated annealing.
 The enumeration and annealing inner loops live in `accel`, in numpy.
-The fold is also given a block of rows at a time: `_fold_rows` folds a range
-of A's rows, `_fold_diagonal` makes the fold's checked diagonal, and
-`_FoldedRows` is a QUBO read through them from rows of its program that are
-built on demand, so `verify` and `export-qubo` hold no n x n program or fold.
-`qbp_to_qubo` is `_fold_rows` over all rows, and `sufficient_penalty` sums
-|A| down numpy's own pairwise tree a few rows at a time (`_penalty_bound`), so
-both paths give the same bits.
+The fold is made a block of rows at a time: `_fold_diagonal` makes its
+checked diagonal, and `_FoldedRows` is a QUBO read through it from rows of its
+program that are built on demand, so `verify` and `export-qubo` hold no n x n
+program or fold.  `_FoldedRows.qubo` fills one `QuboInstance` from those
+rows, for `select`'s 2^n scan and annealer, and `qbp_to_qubo` is that over a
+whole program's rows.  `sufficient_penalty` sums |A| down numpy's own
+pairwise tree a few rows at a time (`_penalty_bound`), so both paths give the
+same bits.
 
 `write_qubo` streams a QUBO to a text stream one row at a time, for external
 QUBO solvers.  Each row's lines are one ``%`` over a row template, whose
@@ -51,7 +52,7 @@ import numpy as np
 
 from . import accel
 from .errors import CapacityError, InputError, NumericalIntegrityError
-from .kernels import _ROW_BLOCK, _derived, _symmetric_matrix
+from .kernels import _ROW_BLOCK, _cardinality, _derived, _seed, _symmetric_matrix
 
 EXHAUSTIVE_MAX_VARS = 24
 CONSTRAINED_MAX_SUBSETS = 5_000_000
@@ -110,12 +111,9 @@ def _linear_part(linear, n: int, k) -> tuple[np.ndarray, int]:
         raise InputError(f"linear part has length {b.shape[0]} but quadratic part is {n}x{n}")
     if not np.all(np.isfinite(b)):
         raise InputError("linear part contains non-finite entries")
-    if not (1 <= k <= n):
-        raise InputError(f"cardinality k={k} out of range [1, {n}]")
-    if k % 1 != 0:
-        raise InputError(f"cardinality k must be an integer, got {k}")
+    k = _cardinality(k, n)
     b.setflags(write=False)
-    return b, int(k)
+    return b, k
 
 
 @dataclass(frozen=True)
@@ -259,12 +257,12 @@ def qbp_to_qubo(p: QbpInstance, lam: float) -> QuboInstance:
     The result satisfies, for every binary z,
     ``z^T Q z = z^T A z + b^T z + lam * ((1^T z - k)^2 - k^2)``:
     the penalized objective up to the constant ``lam * k^2``, which is dropped.
-    Q is exactly symmetric because A is.  It is `_fold_rows` over all rows,
-    after `_fold_diagonal`'s checks.
+    Q is exactly symmetric because A is.  It is `_FoldedRows.qubo` over A's
+    rows, after `_fold_diagonal`'s checks.
     """
     a = p.quadratic
     diag = _fold_diagonal(a.diagonal(), float(a.max()), p.linear, p.k, lam)
-    return _derived(QuboInstance, _fold_rows(a, diag, lam, 0))
+    return _FoldedRows(lambda lo, hi: a[lo:hi], diag, lam).qubo()
 
 
 def _fold_diagonal(a_diag: np.ndarray, a_max: float, b: np.ndarray, k: int,
@@ -283,21 +281,13 @@ def _fold_diagonal(a_diag: np.ndarray, a_max: float, b: np.ndarray, k: int,
     return diag
 
 
-def _fold_rows(a: np.ndarray, diag: np.ndarray, lam: float, lo: int) -> np.ndarray:
-    """Rows lo:lo+len(a) of the fold, from those rows of A: ``A + lam``, `diag` on the diagonal."""
-    q = a + lam
-    r = np.arange(q.shape[0])
-    q[r, lo + r] = diag[lo:lo + q.shape[0]]
-    return q
-
-
 @dataclass(frozen=True)
 class _FoldedRows:
     """A QUBO folded a block of rows at a time from the rows of its program.
 
     `quadratic(lo, hi)` returns rows lo:hi of A, and `diagonal` is the fold's
-    diagonal, from `_fold_diagonal`; `rows` gives rows of Q with the bits
-    `qbp_to_qubo` gives them, and no n x n array is held.
+    diagonal, from `_fold_diagonal`; `rows` gives rows of Q, ``A + lam`` with
+    `diagonal` on the diagonal, and no n x n array is held.
     """
 
     quadratic: Callable[[int, int], np.ndarray]
@@ -309,7 +299,17 @@ class _FoldedRows:
         return self.diagonal.shape[0]
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
-        return _fold_rows(self.quadratic(lo, hi), self.diagonal, self.lam, lo)
+        q = self.quadratic(lo, hi) + self.lam
+        r = np.arange(q.shape[0])
+        q[r, lo + r] = self.diagonal[lo:lo + q.shape[0]]
+        return q
+
+    def qubo(self) -> QuboInstance:
+        """The whole fold as one `QuboInstance`, filled `_ROW_BLOCK` rows at a time."""
+        q = np.empty((self.n, self.n))
+        for lo in range(0, self.n, _ROW_BLOCK):
+            q[lo:lo + _ROW_BLOCK] = self.rows(lo, lo + _ROW_BLOCK)
+        return _derived(QuboInstance, q)
 
 
 def sufficient_penalty(p: QbpInstance) -> float:
@@ -441,10 +441,7 @@ def solve_sa(q: QuboInstance, schedule: SaSchedule | None = None, seed: int = 0)
     restart tracks an energy below +inf, `InputError` is raised; so is a
     negative or non-integral seed, before any draw.
     """
-    if seed < 0:
-        raise InputError(f"seed must be nonnegative, got {seed}")
-    if seed % 1 != 0:
-        raise InputError(f"seed must be an integer, got {seed}")
+    seed = _seed(seed)
     sched = schedule if schedule is not None else SaSchedule()
     temps = sched.temperatures()
     n = q.n
@@ -452,11 +449,12 @@ def solve_sa(q: QuboInstance, schedule: SaSchedule | None = None, seed: int = 0)
     best_z = None
     best_e = np.inf
     for restart in range(sched.restarts):
-        rng = np.random.default_rng(int(seed) + restart)
+        rng = np.random.default_rng(seed + restart)
         z0 = rng.integers(0, 2, size=n).astype(np.int8)
         flips = rng.integers(0, n, size=sched.sweeps * n)
         us = rng.random(sched.sweeps * n)
         z, e = accel.sa_run(q.matrix, z0, flips, us, temps)
+        del flips, us  # the next restart's streams are drawn without these alive
         if e < best_e:
             best_e = e
             best_z = z

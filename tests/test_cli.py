@@ -411,13 +411,13 @@ class TestValidateOnce:
 
         points, spec = noisy_gram_files(tmp_path, 200, 5)
         folded = []
-        original = cli.qbp_to_qubo
+        original = cli.solve_sa
 
-        def kept(p, lam):
-            folded.append(original(p, lam))
-            return folded[-1]
+        def kept(q, schedule, seed):
+            folded.append(q)
+            return original(q, schedule, seed)
 
-        monkeypatch.setattr(cli, "qbp_to_qubo", kept)
+        monkeypatch.setattr(cli, "solve_sa", kept)
         out = tmp_path / "q.txt"
         common = ["--input", points, "--kernel", spec, "--k", "3"]
         assert main(["select", *common, "--solver", "sa", "--sweeps", "5",
@@ -462,8 +462,9 @@ class TestExportMemory:
 
 class TestSelectMemory:
     def test_med_program_builds_no_distance_matrix(self, tmp_path):
-        # prepare holds K and the med program's -D, 1 - K negated in place:
-        # 2 x 8n^2 and a few row blocks, not the 3 x 8n^2 of K, D = 1 - K and -D
+        # prepare holds K and the med program's rows, whose whole program holds
+        # -D, 1 - K negated in place: 2 x 8n^2 and a few row blocks, not the
+        # 3 x 8n^2 of K, D = 1 - K and -D
         from protoqubo.cli import _parser, prepare
 
         n = 1000
@@ -475,10 +476,34 @@ class TestSelectMemory:
         tracemalloc.start()
         try:
             K, program, gamma = prepare(args)
+            qbp = program.qbp()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert program.quadratic.shape == (n, n) and gamma == 2.0 * 10 / n
+        assert qbp.quadratic.shape == (n, n) and gamma == 2.0 * 10 / n
+        assert peak < 2.5 * 8 * n * n, peak / (8 * n * n)
+
+    @pytest.mark.parametrize("formulation", ["med", "kde"])
+    def test_annealer_holds_the_kernel_and_one_fold(self, tmp_path, capsys, two_point_file,
+                                                     formulation):
+        # the fold is filled from the program's rows, so no -D is held beside
+        # it: besides K and Q (2 x 8n^2) the annealer holds a random start's
+        # block of about (n/2)^2 entries and a few row blocks.  A first select
+        # of two points builds the parser, which the process keeps
+        n = 1000
+        data = tmp_path / "points.csv"
+        np.savetxt(data, np.random.default_rng(n).normal(size=(n, 3)), delimiter=",",
+                   fmt="%.17g")
+        argv = ["select", "--input", str(data), "--k", "10", "--formulation", formulation,
+                "--solver", "sa", "--sweeps", "5", "--restarts", "1"]
+        assert main([*argv[:2], two_point_file, "--k", "1", *argv[5:]]) == 0
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and capsys.readouterr().err == ""
         assert peak < 2.5 * 8 * n * n, peak / (8 * n * n)
 
 

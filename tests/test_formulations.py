@@ -200,6 +200,9 @@ class TestProgramRows:
                     program = _ProgramRows.build(K, k, gamma)
                     np.testing.assert_array_equal(bits(program.rows(0, n)), bits(whole.quadratic))
                     np.testing.assert_array_equal(bits(program.linear), bits(whole.linear))
+                    if gamma is None:  # build_kde_qbp reads its linear part from the rows
+                        np.testing.assert_array_equal(
+                            bits(program.linear), bits(-(2.0 * k / n) * K.entries.sum(axis=1)))
                     built = program.qbp()
                     np.testing.assert_array_equal(bits(built.quadratic), bits(whole.quadratic))
                     np.testing.assert_array_equal(bits(built.linear), bits(whole.linear))

@@ -424,6 +424,21 @@ class TestSimulatedAnnealing:
             with pytest.raises(InputError, match=f"^seed must be an integer, got {seed}$"):
                 solve_sa(q, sched, seed=seed)
 
+    def test_peak_holds_one_restarts_streams(self):
+        # a restart draws sweeps * n flip indices (int64) and uniforms
+        # (float64), 16 bytes a proposal; its streams are dropped before the
+        # next restart draws its own, so the peak holds one restart's streams,
+        # not one and a half
+        n, sweeps = 200, 1000
+        q = QuboInstance(random_symmetric(np.random.default_rng(4), n))
+        tracemalloc.start()
+        try:
+            solve_sa(q, SaSchedule(sweeps=sweeps, restarts=3), seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 16 * sweeps * n, peak / (16 * sweeps * n)
+
     def test_one_sweep_runs_at_the_start_temperature(self):
         temps = SaSchedule(t_start=7.3, t_end=0.1, sweeps=1).temperatures()
         np.testing.assert_array_equal(temps, np.array([7.3]), strict=True)

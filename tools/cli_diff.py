@@ -433,6 +433,22 @@ def cases(work: Path) -> list:
     for form in ("med", "kde"):
         out.append(["export-qubo", "--input", str(work / "edge17.csv"), "--k", "3",
                     "--kernel", f"precomputed:{signs}", "--formulation", form])
+    # select on the same inputs, which it builds and folds by the same rows; the
+    # mixed-sign kernel is not positive semidefinite, so its annealed selections
+    # end in the squared MMD's refusal, whose negative value the selection sets
+    sa = ["--sweeps", "50", "--restarts", "2"]
+    for n in (15, 16, 17, 33):
+        for form in ("med", "kde"):
+            select = ["select", "--input", str(work / f"edge{n}.csv"), "--k", "3",
+                      "--formulation", form, "--solver"]
+            out.append([*select, "constrained"])
+            for solver in ([["exhaustive"]] if n <= 24 else []) + [["sa", *sa]]:
+                for lam in ([], ["--lambda", "3.5"]):
+                    out.append([*select, *solver, *lam])
+    for form in ("med", "kde"):
+        out.append(["select", "--input", str(work / "edge17.csv"), "--k", "3",
+                    "--kernel", f"precomputed:{signs}", "--formulation", form,
+                    "--solver", "sa", *sa])
     return out
 
 
